@@ -85,9 +85,27 @@ type t = {
   mutable replay : Sim_instr.t list;
   regs : int array;
   producers : int array;
-  rob : rob_entry option array;
+  rob : rob_entry option array;  (* ring indexed by [seq land rob_mask] *)
+  rob_mask : int;
   mutable rob_head : int;
   mutable rob_tail : int;
+  st_seqs : int array;
+      (* ring ([rob_mask]) of the seqs of the St and Amo entries in the
+         ROB, oldest at [st_head]: what store-to-load forwarding walks *)
+  mutable st_head : int;
+  mutable st_tail : int;
+  pending : int array;
+      (* seqs of the ROB entries not known to be [Done], in program
+         order: appended at dispatch, compacted by the issue scan *)
+  mutable n_pending : int;
+  incomplete_words : Ise_util.Wordset.t;  (* scratch for the issue scan *)
+  mutable version : int;
+      (* bumped by every change to what the issue scan reads: see
+         [touch] and the invariant in core.mli *)
+  mutable scanned : int;  (* [version] the last issue scan started at *)
+  mutable scan_progress : bool;  (* the last issue scan set [progress] *)
+  mutable nop_wake : int;
+      (* earliest [ready_at] of a waiting Nop the last scan visited *)
   sb : Sb.t;
   fsb_ : Ise_core.Fsb.t;
   mutable phase : phase;
@@ -109,6 +127,8 @@ type t = {
 }
 
 let create cfg engine mem env ~id ~program =
+  let rob_size = ref 1 in
+  while !rob_size < cfg.Config.rob_entries do rob_size := 2 * !rob_size done;
   {
     cfg;
     engine;
@@ -120,9 +140,20 @@ let create cfg engine mem env ~id ~program =
     replay = [];
     regs = Array.make nregs 0;
     producers = Array.make nregs (-1);
-    rob = Array.make cfg.Config.rob_entries None;
+    rob = Array.make !rob_size None;
+    rob_mask = !rob_size - 1;
     rob_head = 0;
     rob_tail = 0;
+    st_seqs = Array.make !rob_size 0;
+    st_head = 0;
+    st_tail = 0;
+    pending = Array.make cfg.Config.rob_entries 0;
+    n_pending = 0;
+    incomplete_words = Ise_util.Wordset.create ~capacity:cfg.Config.rob_entries;
+    version = 0;
+    scanned = -1;
+    scan_progress = false;
+    nop_wake = max_int;
     sb = Sb.create ~capacity:cfg.Config.sb_entries ~mode:cfg.Config.consistency;
     fsb_ =
       Ise_core.Fsb.create ~entries:cfg.Config.fsb_entries
@@ -177,7 +208,11 @@ let set_telemetry t sink =
 let rob_count t = t.rob_tail - t.rob_head
 let rob_occupancy = rob_count
 
-let slot t seq = seq mod Array.length t.rob
+let slot t seq = seq land t.rob_mask
+
+(* Something the issue scan reads has changed: the next [issue] must
+   scan again. *)
+let touch t = t.version <- t.version + 1
 
 let get_entry t seq =
   if seq < t.rob_head || seq >= t.rob_tail then None
@@ -205,14 +240,13 @@ let dep_value t seq ~reg_fallback =
     | Some e -> e.r_value
     | None -> t.regs.(reg_fallback)
 
-let addr_ready t (e : rob_entry) (a : Sim_instr.addr_expr) =
-  if dep_ready t e.a_dep then Some a.base else None
-
 let data_ready t (e : rob_entry) = function
-  | Sim_instr.Imm v -> Some v
-  | Sim_instr.From_reg r ->
-    if dep_ready t e.d_dep then Some (dep_value t e.d_dep ~reg_fallback:r)
-    else None
+  | Sim_instr.Imm _ -> true
+  | Sim_instr.From_reg _ -> dep_ready t e.d_dep
+
+let data_value t (e : rob_entry) = function
+  | Sim_instr.Imm v -> v
+  | Sim_instr.From_reg r -> dep_value t e.d_dep ~reg_fallback:r
 
 (* ------------------------------------------------------------------ *)
 (* Retirement                                                          *)
@@ -227,46 +261,52 @@ let commit t e =
    | _ -> ());
   (match e.instr with
    | Sim_instr.Ld _ -> t.stats.loads <- t.stats.loads + 1
-   | Sim_instr.St _ -> t.stats.stores <- t.stats.stores + 1
+   | Sim_instr.St _ ->
+     t.stats.stores <- t.stats.stores + 1;
+     t.st_head <- t.st_head + 1
+   | Sim_instr.Amo _ -> t.st_head <- t.st_head + 1
    | Sim_instr.Fence -> t.stats.fences <- t.stats.fences + 1
-   | _ -> ());
+   | Sim_instr.Ctrl _ | Sim_instr.Nop _ -> ());
   t.rob.(slot t e.r_seq) <- None;
   t.rob_head <- t.rob_head + 1;
   t.stats.retired <- t.stats.retired + 1;
-  t.progress <- true
+  t.progress <- true;
+  touch t
 
 let retire t =
   let sc = t.cfg.Config.consistency = Ise_model.Axiom.Sc in
-  let rec loop n =
-    if n >= t.cfg.Config.retire_width then ()
-    else
-      match get_entry t t.rob_head with
-      | None -> ()
-      | Some e -> (
-        match e.instr with
-        | Sim_instr.Fence ->
-          if Sb.is_empty t.sb && Sb.inflight t.sb = 0 then begin
-            e.r_status <- Done;
-            commit t e;
-            loop (n + 1)
-          end
-        | Sim_instr.St _ when not sc ->
-          if e.r_status = Done then begin
-            if Sb.push t.sb ~seq:e.r_seq ~addr:e.r_addr ~data:e.r_data
-                 ~mask:0xFF
-            then begin
-              commit t e;
-              loop (n + 1)
-            end
-            else t.stats.sb_full_stalls <- t.stats.sb_full_stalls + 1
-          end
-        | _ ->
-          if e.r_status = Done then begin
-            commit t e;
-            loop (n + 1)
-          end)
-  in
-  loop 0
+  let n = ref 0 and stop = ref false in
+  while (not !stop) && !n < t.cfg.Config.retire_width do
+    match get_entry t t.rob_head with
+    | None -> stop := true
+    | Some e -> (
+      match e.instr with
+      | Sim_instr.Fence ->
+        if Sb.is_empty t.sb && Sb.inflight t.sb = 0 then begin
+          e.r_status <- Done;
+          commit t e;
+          incr n
+        end
+        else stop := true
+      | Sim_instr.St _ when not sc ->
+        if e.r_status <> Done then stop := true
+        else if
+          Sb.push t.sb ~seq:e.r_seq ~addr:e.r_addr ~data:e.r_data ~mask:0xFF
+        then begin
+          commit t e;
+          incr n
+        end
+        else begin
+          t.stats.sb_full_stalls <- t.stats.sb_full_stalls + 1;
+          stop := true
+        end
+      | _ ->
+        if e.r_status = Done then begin
+          commit t e;
+          incr n
+        end
+        else stop := true)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Imprecise exception flow (§5.3)                                     *)
@@ -294,6 +334,9 @@ let flush_pipeline t =
   done;
   t.replay <- !replayed @ t.replay;
   t.rob_head <- t.rob_tail;
+  t.st_head <- t.st_tail;
+  t.n_pending <- 0;
+  touch t;
   Array.fill t.producers 0 nregs (-1)
 
 let flush_and_invoke_handler t ~drain_cycles =
@@ -342,6 +385,7 @@ let start_fsb_drain t =
        (Ise_telemetry.Sink.trace tel.t_sink)
        ~cat:"ise" ~name:"fsb_drain" ~tid:t.core_id (Engine.now t.engine));
   let entries = Sb.take_all t.sb in
+  touch t;
   let tagged =
     List.map
       (fun (e : Sb.entry) ->
@@ -495,7 +539,10 @@ let begin_exception_episode t =
 let unpause t =
   if t.phase = Paused then
     if Sb.has_fault t.sb then begin_exception_episode t
-    else t.phase <- Running
+    else begin
+      t.phase <- Running;
+      touch t
+    end
 
 let on_drain_response t (entry : Sb.entry) result =
   match result with
@@ -509,7 +556,8 @@ let on_drain_response t (entry : Sb.entry) result =
          ~cat:"sb" ~name:"store_drain" ~tid:t.core_id
          ~args:[ ("addr", Ise_telemetry.Json.Int entry.Sb.e_addr) ]
          (Engine.now t.engine));
-    Sb.complete t.sb entry
+    Sb.complete t.sb entry;
+    touch t
   | Memsys.Denied code ->
     (match t.tel with
      | None -> ()
@@ -521,6 +569,7 @@ let on_drain_response t (entry : Sb.entry) result =
          ~args:[ ("addr", Ise_telemetry.Json.Int entry.Sb.e_addr) ]
          (Engine.now t.engine));
     Sb.mark_faulted t.sb entry code;
+    touch t;
     t.stats.faulting_stores <- t.stats.faulting_stores + 1;
     (* while an interrupt handler executes (IE set), the detection is
        deferred: the episode starts when the handler returns (§5.3) *)
@@ -531,6 +580,7 @@ let drain_sb t =
   List.iter
     (fun (entry : Sb.entry) ->
       Sb.mark_inflight t.sb entry;
+      touch t;
       t.progress <- true;
       Memsys.request t.mem ~core:t.core_id ~addr:entry.Sb.e_addr
         (Memsys.Write { data = entry.Sb.e_data; mask = entry.Sb.e_mask })
@@ -551,205 +601,251 @@ let take_precise_fault t ~addr ~code =
   if t.phase = Running then t.phase <- Paused;
   t.env.on_precise ~core:t.core_id ~addr ~code ~retry:(fun () -> unpause t)
 
+(* Nearest older store to the same word: forward if resolved; block if
+   unresolved (conservative memory disambiguation) or behind an
+   incomplete AMO.  Only St and Amo entries can decide, so the walk
+   covers [st_seqs], from the youngest entry older than the load. *)
 let forward_from_rob t (load : rob_entry) =
-  (* nearest older store to the same word: forward if resolved; block
-     if unresolved (conservative memory disambiguation) *)
-  let rec scan seq =
-    if seq < t.rob_head then `Miss
-    else
-      match t.rob.(slot t seq) with
-      | Some e -> (
-        match e.instr with
-        | Sim_instr.St _ ->
-          if e.r_addr < 0 then `Block  (* unresolved store address *)
-          else if word e.r_addr = word load.r_addr then
-            (* resolved same-word store: forward its data whether or
-               not the write has reached memory yet *)
-            `Forward e.r_data
-          else scan (seq - 1)
-        | Sim_instr.Amo _ when e.r_status <> Done -> `Block
-        | Sim_instr.Amo _ ->
-          (* a completed AMO's write is already in memory *)
-          scan (seq - 1)
-        | _ -> scan (seq - 1))
-      | None -> scan (seq - 1)
-  in
-  scan (load.r_seq - 1)
+  let lo = ref t.st_head and hi = ref t.st_tail in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.st_seqs.(slot t mid) < load.r_seq then lo := mid + 1 else hi := mid
+  done;
+  let result = ref `Miss in
+  let p = ref (!lo - 1) in
+  while !p >= t.st_head do
+    (match t.rob.(slot t t.st_seqs.(slot t !p)) with
+     | Some ({ instr = Sim_instr.St _; _ } as e) ->
+       if e.r_addr < 0 then result := `Block
+       else if word e.r_addr = word load.r_addr then
+         (* resolved same-word store: forward its data whether or not
+            the write has reached memory yet *)
+         result := `Forward e.r_data
+     | Some ({ instr = Sim_instr.Amo _; _ } as e) ->
+       (* a completed AMO's write is already in memory *)
+       if e.r_status <> Done then result := `Block
+     | Some _ | None -> ());
+    if !result == `Miss then decr p else p := t.st_head - 1
+  done;
+  !result
+
+(* A completion callback: the entry's result is in. *)
+let complete_entry t (e : rob_entry) v =
+  e.r_value <- v;
+  e.r_status <- Done;
+  touch t
 
 let issue_load t (e : rob_entry) =
   e.r_status <- Executing;
   t.progress <- true;
   match forward_from_rob t e with
   | `Forward v ->
+    touch t;
     Engine.schedule_in t.engine t.cfg.Config.l1_latency (fun () ->
-        if entry_live t e then begin
-          e.r_value <- v;
-          e.r_status <- Done
-        end)
-  | `Block -> e.r_status <- Waiting  (* retry next cycle *)
+        if entry_live t e then complete_entry t e v)
+  | `Block ->
+    (* retry next cycle; nothing changed, so a skipped scan repeats
+       this [progress] (see [issue]) *)
+    e.r_status <- Waiting
   | `Miss -> (
+    touch t;
     match Sb.forward t.sb ~addr:e.r_addr with
     | Some v ->
       Engine.schedule_in t.engine t.cfg.Config.l1_latency (fun () ->
-          if entry_live t e then begin
-            e.r_value <- v;
-            e.r_status <- Done
-          end)
+          if entry_live t e then complete_entry t e v)
     | None ->
-      let send () =
-        Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr Memsys.Read
-          (fun result ->
-            if entry_live t e then
-              match result with
-              | Memsys.Value v ->
-                e.r_value <- v;
-                e.r_status <- Done
-              | Memsys.Denied code ->
-                take_precise_fault t ~addr:e.r_addr ~code)
-      in
-      send ())
+      Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr Memsys.Read
+        (fun result ->
+          if entry_live t e then
+            match result with
+            | Memsys.Value v -> complete_entry t e v
+            | Memsys.Denied code -> take_precise_fault t ~addr:e.r_addr ~code))
 
 let issue_amo t (e : rob_entry) op =
   e.r_status <- Executing;
   t.progress <- true;
-  let send () =
-    Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr (Memsys.Atomic op)
-      (fun result ->
-        if entry_live t e then
-          match result with
-          | Memsys.Value old ->
-            e.r_value <- old;
-            e.r_status <- Done
-          | Memsys.Denied code ->
-            take_precise_fault t ~addr:e.r_addr ~code)
-  in
-  send ()
+  touch t;
+  Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr (Memsys.Atomic op)
+    (fun result ->
+      if entry_live t e then
+        match result with
+        | Memsys.Value old -> complete_entry t e old
+        | Memsys.Denied code -> take_precise_fault t ~addr:e.r_addr ~code)
 
 let issue_sc_store t (e : rob_entry) =
   e.r_status <- Executing;
   t.progress <- true;
-  let send () =
-    Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr
-      (Memsys.Write { data = e.r_data; mask = 0xFF })
-      (fun result ->
-        if entry_live t e then
-          match result with
-          | Memsys.Value _ -> e.r_status <- Done
-          | Memsys.Denied code ->
-            (* without a store buffer the fault is precise (§2.3) *)
-            take_precise_fault t ~addr:e.r_addr ~code)
-  in
-  send ()
+  touch t;
+  Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr
+    (Memsys.Write { data = e.r_data; mask = 0xFF })
+    (fun result ->
+      if entry_live t e then
+        match result with
+        | Memsys.Value _ ->
+          e.r_status <- Done;
+          touch t
+        | Memsys.Denied code ->
+          (* without a store buffer the fault is precise (§2.3) *)
+          take_precise_fault t ~addr:e.r_addr ~code)
 
-let issue t =
-  let sc = t.cfg.Config.consistency = Ise_model.Axiom.Sc in
-  let pc = t.cfg.Config.consistency = Ise_model.Axiom.Pc in
+(* Resolves a memory operation's address; a change is a mutation. *)
+let resolve_addr t (e : rob_entry) a =
+  if e.r_addr <> a then begin
+    e.r_addr <- a;
+    touch t
+  end
+
+(* One pass over the pending entries, oldest first: act on each, then
+   fold its (possibly new) state into the ordering context younger
+   entries see.  A [Done] entry neither acts nor changes any ordering
+   flag, so entries that completed or retired since the last scan are
+   dropped where met. *)
+let scan t =
+  let cfg = t.cfg in
+  let sc = cfg.Config.consistency = Ise_model.Axiom.Sc in
+  let pc = cfg.Config.consistency = Ise_model.Axiom.Pc in
   let now = Engine.now t.engine in
+  t.scanned <- t.version;
+  let progress_before = t.progress in
+  t.progress <- false;
+  let nop_wake = ref max_int in
   let all_older_done = ref true in
   let older_loadlike_done = ref true in
   let older_unresolved_store = ref false in
   let older_store_unissued = ref false in
   let fence_pending = ref false in
-  (* same-word tracking for WC po-loc: word -> oldest incomplete access *)
-  let incomplete_words = Hashtbl.create 8 in
+  (* same-word tracking for WC po-loc: words of incomplete accesses *)
+  let incomplete_words = t.incomplete_words in
+  Ise_util.Wordset.clear incomplete_words;
   let blocked = ref false in
-  let seq = ref t.rob_head in
-  while (not !blocked) && !seq < t.rob_tail do
-    (match t.rob.(slot t !seq) with
-     | None -> ()
-     | Some e ->
-       let is_head = e.r_seq = t.rob_head in
-       (* try to make progress on this entry *)
-       (match (e.instr, e.r_status) with
-        | Sim_instr.Nop _, Waiting ->
-          if now >= e.ready_at then begin
-            e.r_status <- Done;
-            t.progress <- true
-          end
-        | Sim_instr.Ctrl _, Waiting ->
-          if dep_ready t e.c_dep then begin
-            e.r_status <- Done;
-            t.progress <- true
-          end
-        | Sim_instr.St { addr; data }, Waiting -> (
-          match (addr_ready t e addr, data_ready t e data) with
-          | Some a, Some d ->
-            e.r_addr <- a;
-            e.r_data <- d;
-            if sc then begin
-              (* SC without a store buffer: an exclusive prefetch warms
-                 the block as soon as the address resolves, and the
-                 write itself performs at the ROB head, so every store
-                 pays a short commit-time latency (§2.3) *)
-              if (not e.prefetched)
-                 && e.r_seq - t.rob_head < t.cfg.Config.sc_store_issue_window
-              then begin
-                e.prefetched <- true;
-                Memsys.request t.mem ~core:t.core_id ~addr:a
-                  Memsys.Prefetch_exclusive (fun _ -> ())
-              end;
-              if is_head && (not !fence_pending) && not !older_store_unissued
-              then issue_sc_store t e
-            end
-            else begin
-              e.r_status <- Done;
-              t.progress <- true
-            end
-          | _ -> ())
-        | Sim_instr.St _, Done when sc && is_head ->
-          ()  (* impossible: SC stores are Done only after completion *)
-        | Sim_instr.Ld { addr; _ }, Waiting -> (
-          match addr_ready t e addr with
-          | Some a ->
-            e.r_addr <- a;
-            let word_blocked = Hashtbl.mem incomplete_words (word a) in
-            let eligible =
-              (not !fence_pending)
-              && (not word_blocked)
-              && (if sc then
-                    if t.cfg.Config.sc_speculative_loads then
-                      not !older_unresolved_store
-                    else !all_older_done
-                  else if pc then
-                    !older_loadlike_done && not !older_unresolved_store
-                  else not !older_unresolved_store)
-            in
-            if eligible then issue_load t e
-          | None -> ())
-        | Sim_instr.Amo { addr; op; _ }, Waiting -> (
-          match addr_ready t e addr with
-          | Some a ->
-            e.r_addr <- a;
-            if is_head && Sb.is_empty t.sb && Sb.inflight t.sb = 0 then
-              issue_amo t e op
-          | None -> ())
-        | _ -> ());
-       (* update ordering context from this entry's (possibly new) state *)
-       (match e.instr with
-        | Sim_instr.Ctrl _ when e.r_status <> Done ->
-          (* no branch speculation: nothing younger issues *)
-          blocked := true
-        | Sim_instr.Fence when e.r_status <> Done -> fence_pending := true
-        | Sim_instr.St _ ->
-          (* unresolved store addresses block younger loads (no memory
-             disambiguation speculation); resolved stores are handled
-             by ROB/SB forwarding *)
-          if e.r_addr < 0 then older_unresolved_store := true;
-          if e.r_status = Waiting then older_store_unissued := true
-        | Sim_instr.Ld _ | Sim_instr.Amo _ ->
-          if e.r_status <> Done then begin
-            older_loadlike_done := false;
-            (* same-word load-load order (CoRR); an address-dependent
-               older load with an unknown address cannot block younger
-               loads by word, which is acceptable because dependent
-               loads are ordered by their dependency anyway *)
-            if e.r_addr >= 0 then
-              Hashtbl.replace incomplete_words (word e.r_addr) ()
-          end
-        | _ -> ());
-       if e.r_status <> Done then all_older_done := false);
-    incr seq
-  done
+  let n = t.n_pending in
+  let i = ref 0 and kept = ref 0 in
+  while (not !blocked) && !i < n do
+    let seq = t.pending.(!i) in
+    incr i;
+    match get_entry t seq with
+    | None -> ()  (* retired *)
+    | Some e when e.r_status = Done -> ()
+    | Some e ->
+      let is_head = seq = t.rob_head in
+      (* try to make progress on this entry *)
+      (match (e.instr, e.r_status) with
+       | Sim_instr.Nop _, Waiting ->
+         if now >= e.ready_at then begin
+           e.r_status <- Done;
+           t.progress <- true;
+           touch t
+         end
+         else if e.ready_at < !nop_wake then nop_wake := e.ready_at
+       | Sim_instr.Ctrl _, Waiting ->
+         if dep_ready t e.c_dep then begin
+           e.r_status <- Done;
+           t.progress <- true;
+           touch t
+         end
+       | Sim_instr.St { addr; data }, Waiting ->
+         if dep_ready t e.a_dep && data_ready t e data then begin
+           let a = addr.Sim_instr.base and d = data_value t e data in
+           resolve_addr t e a;
+           if e.r_data <> d then begin
+             e.r_data <- d;
+             touch t
+           end;
+           if sc then begin
+             (* SC without a store buffer: an exclusive prefetch warms
+                the block as soon as the address resolves, and the
+                write itself performs at the ROB head, so every store
+                pays a short commit-time latency (§2.3) *)
+             if (not e.prefetched)
+                && e.r_seq - t.rob_head < cfg.Config.sc_store_issue_window
+             then begin
+               e.prefetched <- true;
+               touch t;
+               Memsys.request t.mem ~core:t.core_id ~addr:a
+                 Memsys.Prefetch_exclusive (fun _ -> ())
+             end;
+             if is_head && (not !fence_pending) && not !older_store_unissued
+             then issue_sc_store t e
+           end
+           else begin
+             e.r_status <- Done;
+             t.progress <- true;
+             touch t
+           end
+         end
+       | Sim_instr.Ld { addr; _ }, Waiting ->
+         if dep_ready t e.a_dep then begin
+           let a = addr.Sim_instr.base in
+           resolve_addr t e a;
+           let eligible =
+             (not !fence_pending)
+             && (not (Ise_util.Wordset.mem incomplete_words (word a)))
+             && (if sc then
+                   if cfg.Config.sc_speculative_loads then
+                     not !older_unresolved_store
+                   else !all_older_done
+                 else if pc then
+                   !older_loadlike_done && not !older_unresolved_store
+                 else not !older_unresolved_store)
+           in
+           if eligible then issue_load t e
+         end
+       | Sim_instr.Amo { addr; op; _ }, Waiting ->
+         if dep_ready t e.a_dep then begin
+           resolve_addr t e addr.Sim_instr.base;
+           if is_head && Sb.is_empty t.sb && Sb.inflight t.sb = 0 then
+             issue_amo t e op
+         end
+       | _ -> ());
+      (* update ordering context from this entry's (possibly new) state *)
+      (match e.instr with
+       | Sim_instr.Ctrl _ when e.r_status <> Done ->
+         (* no branch speculation: nothing younger issues *)
+         blocked := true
+       | Sim_instr.Fence when e.r_status <> Done -> fence_pending := true
+       | Sim_instr.St _ ->
+         (* unresolved store addresses block younger loads (no memory
+            disambiguation speculation); resolved stores are handled
+            by ROB/SB forwarding *)
+         if e.r_addr < 0 then older_unresolved_store := true;
+         if e.r_status = Waiting then older_store_unissued := true
+       | Sim_instr.Ld _ | Sim_instr.Amo _ ->
+         if e.r_status <> Done then begin
+           older_loadlike_done := false;
+           (* same-word load-load order (CoRR); an address-dependent
+              older load with an unknown address cannot block younger
+              loads by word, which is acceptable because dependent
+              loads are ordered by their dependency anyway *)
+           if e.r_addr >= 0 then
+             Ise_util.Wordset.add incomplete_words (word e.r_addr)
+         end
+       | _ -> ());
+      if e.r_status <> Done then begin
+        all_older_done := false;
+        t.pending.(!kept) <- seq;
+        incr kept
+      end
+  done;
+  (* entries past a blocking branch were not visited: keep them *)
+  if !kept < !i then Array.blit t.pending !i t.pending !kept (n - !i);
+  t.n_pending <- !kept + (n - !i);
+  t.nop_wake <- !nop_wake;
+  t.scan_progress <- t.progress;
+  t.progress <- progress_before || t.progress
+
+(* The scan is a pure function of the ROB, the store buffer, the phase
+   and (for waiting Nops) the cycle, and every change to those bumps
+   [version] — including the scan's own, so a scan that acted is
+   always followed by another.  A scan that would start from the
+   version the last one started from, before any visited Nop is due,
+   would repeat it exactly: skip it, keeping its [progress] (a load
+   blocked behind an incomplete AMO retries, and reports progress,
+   every cycle). *)
+let issue t =
+  if t.version = t.scanned && Engine.now t.engine < t.nop_wake then begin
+    if t.scan_progress then t.progress <- true
+  end
+  else scan t
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -780,20 +876,21 @@ let dispatch t =
       match next_instr t with
       | None -> stop := true
       | Some instr ->
-        let producer r = t.producers.(r) in
-        let a_dep, d_dep, c_dep =
+        let a_dep =
           match instr with
-          | Sim_instr.Ld { addr; _ } | Sim_instr.Amo { addr; _ } ->
-            ((match addr.Sim_instr.dep with Some r -> producer r | None -> -1),
-             -1, -1)
-          | Sim_instr.St { addr; data } ->
-            ((match addr.Sim_instr.dep with Some r -> producer r | None -> -1),
-             (match data with
-              | Sim_instr.From_reg r -> producer r
-              | Sim_instr.Imm _ -> -1),
-             -1)
-          | Sim_instr.Ctrl r -> (-1, -1, producer r)
-          | Sim_instr.Fence | Sim_instr.Nop _ -> (-1, -1, -1)
+          | Sim_instr.Ld { addr; _ }
+          | Sim_instr.Amo { addr; _ }
+          | Sim_instr.St { addr; _ } -> (
+            match addr.Sim_instr.dep with
+            | Some r -> t.producers.(r)
+            | None -> -1)
+          | Sim_instr.Ctrl _ | Sim_instr.Fence | Sim_instr.Nop _ -> -1
+        and d_dep =
+          match instr with
+          | Sim_instr.St { data = Sim_instr.From_reg r; _ } -> t.producers.(r)
+          | _ -> -1
+        and c_dep =
+          match instr with Sim_instr.Ctrl r -> t.producers.(r) | _ -> -1
         in
         let e =
           { r_seq = t.rob_tail; instr; r_status = Waiting; r_value = 0;
@@ -805,11 +902,20 @@ let dispatch t =
            e.ready_at <- Engine.now t.engine + max 1 n;
            (* wake the machine when the nop completes *)
            Engine.schedule_in t.engine (max 1 n) (fun () -> ())
-         | Sim_instr.Ld { dst; _ } | Sim_instr.Amo { dst; _ } ->
-           t.producers.(dst) <- e.r_seq
-         | _ -> ());
+         | Sim_instr.Ld { dst; _ } -> t.producers.(dst) <- e.r_seq
+         | Sim_instr.Amo { dst; _ } ->
+           t.producers.(dst) <- e.r_seq;
+           t.st_seqs.(slot t t.st_tail) <- e.r_seq;
+           t.st_tail <- t.st_tail + 1
+         | Sim_instr.St _ ->
+           t.st_seqs.(slot t t.st_tail) <- e.r_seq;
+           t.st_tail <- t.st_tail + 1
+         | Sim_instr.Fence | Sim_instr.Ctrl _ -> ());
         t.rob.(slot t e.r_seq) <- Some e;
         t.rob_tail <- t.rob_tail + 1;
+        t.pending.(t.n_pending) <- e.r_seq;
+        t.n_pending <- t.n_pending + 1;
+        touch t;
         incr dispatched;
         t.progress <- true
   done
@@ -891,7 +997,10 @@ let terminate t =
   for seqn = t.rob_head to t.rob_tail - 1 do
     t.rob.(slot t seqn) <- None
   done;
-  t.rob_head <- t.rob_tail
+  t.rob_head <- t.rob_tail;
+  t.st_head <- t.st_tail;
+  t.n_pending <- 0;
+  touch t
 
 let resume t =
   if t.phase <> Terminated then begin
@@ -917,5 +1026,6 @@ let resume t =
        t.replay <- List.map sim_instr_of_record dropped @ t.replay;
        t.overflow_replay <- [];
        Hashtbl.reset t.degraded_words);
-    t.phase <- Running
+    t.phase <- Running;
+    touch t
   end

@@ -16,7 +16,19 @@
     protocol mode (same-stream: everything to the FSB; split-stream:
     clean stores to memory), flushes the pipeline, and invokes the OS
     hook.  Unretired instructions replay after the handler resumes the
-    core. *)
+    core.
+
+    {b Issue-scan invariant.}  Each cycle the issue stage scans the ROB
+    entries that are not yet complete, oldest first.  The scan is a
+    pure function of the ROB, the store buffer, the phase and (for
+    waiting [Nop]s) the cycle, and every mutation of these bumps a
+    per-core version: retirement, dispatch, a pipeline flush, a return
+    to the running phase, each completion callback, each store-buffer
+    mutation, and each change the scan itself makes.  A scan that would
+    start from the same version as the last one, before any [Nop] it
+    saw is due, is skipped and repeats that scan's pipeline activity.
+    Code that changes anything the scan reads must bump the version,
+    or cycle counts change. *)
 
 type env = {
   trace : Ise_core.Contract.event -> unit;

@@ -17,29 +17,22 @@ let schedule_at t cycle f =
 
 let schedule_in t delay f = schedule_at t (t.now + delay) f
 
+let due t = (not (Pqueue.is_empty t.queue)) && Pqueue.min_prio t.queue <= t.now
+
 let run_due t =
-  let rec loop ran =
-    match Pqueue.peek t.queue with
-    | Some (cycle, _) when cycle <= t.now ->
-      (match Pqueue.pop t.queue with
-       | Some (_, f) ->
-         f ();
-         loop true
-       | None -> ran)
-    | _ -> ran
-  in
-  loop false
+  let ran = due t in
+  while due t do
+    Pqueue.pop_value t.queue ()
+  done;
+  ran
 
 let advance t = t.now <- t.now + 1
 
-let next_event_cycle t =
-  match Pqueue.peek t.queue with Some (c, _) -> Some c | None -> None
-
 let skip_to_next_event t =
-  match next_event_cycle t with
-  | Some c when c > t.now ->
-    t.now <- c;
+  if Pqueue.is_empty t.queue || Pqueue.min_prio t.queue <= t.now then false
+  else begin
+    t.now <- Pqueue.min_prio t.queue;
     true
-  | _ -> false
+  end
 
 let pending t = Pqueue.length t.queue

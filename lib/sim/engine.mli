@@ -22,8 +22,6 @@ val run_due : t -> bool
 val advance : t -> unit
 (** Moves to the next cycle. *)
 
-val next_event_cycle : t -> int option
-
 val skip_to_next_event : t -> bool
 (** Fast-forwards the clock to the next scheduled event when all
     components are idle; returns whether time moved. *)

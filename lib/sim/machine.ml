@@ -177,7 +177,9 @@ let run ?(max_cycles = 50_000_000) t =
     else begin
       ignore (Engine.run_due t.engine);
       let progress = ref false in
-      Array.iter (fun c -> if Core.step c then progress := true) t.cores;
+      for i = 0 to Array.length t.cores - 1 do
+        if Core.step t.cores.(i) then progress := true
+      done;
       if all_done t then ()
       else if !progress then begin
         Engine.advance t.engine;

@@ -46,6 +46,10 @@ type t = {
   l2 : Cache.t array;
   dir : (int, dir_entry) Hashtbl.t;
   busy : (int, pending Queue.t) Hashtbl.t;
+      (* blocks with a transaction in flight -> requests waiting for it *)
+  no_waiters : pending Queue.t;
+      (* shared, always empty: the [busy] value of an uncontended block,
+         so an uncontended request allocates no queue *)
   mutable dram_accesses : int;
   mutable invalidations : int;
   mutable noc_hop_cycles : int;
@@ -78,6 +82,7 @@ let create cfg engine einj =
         Cache.create ~sets:cfg.Config.l2_sets ~ways:cfg.Config.l2_ways ());
     dir = Hashtbl.create 4096;
     busy = Hashtbl.create 64;
+    no_waiters = Queue.create ();
     dram_accesses = 0;
     invalidations = 0;
     noc_hop_cycles = 0;
@@ -296,20 +301,24 @@ let rec start t { p_core = core; p_addr = addr; p_kind = kind; p_k = k } =
       in
       k result;
       (* release the block: start the next queued transaction *)
-      match Hashtbl.find_opt t.busy block with
-      | None -> ()
-      | Some q ->
+      match Hashtbl.find t.busy block with
+      | exception Not_found -> ()
+      | q ->
         if Queue.is_empty q then Hashtbl.remove t.busy block
         else start t (Queue.pop q))
 
 let request t ~core ~addr kind k =
   let block = block_of t addr in
   let p = { p_core = core; p_addr = addr; p_kind = kind; p_k = k } in
-  match Hashtbl.find_opt t.busy block with
-  | Some q -> Queue.add p q
-  | None ->
-    Hashtbl.replace t.busy block (Queue.create ());
+  match Hashtbl.find t.busy block with
+  | exception Not_found ->
+    Hashtbl.replace t.busy block t.no_waiters;
     start t p
+  | q when q == t.no_waiters ->
+    let q = Queue.create () in
+    Queue.add p q;
+    Hashtbl.replace t.busy block q
+  | q -> Queue.add p q
 
 let flush_caches t =
   (* simplest correct flush: drop all directory state and rebuild caches *)

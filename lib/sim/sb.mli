@@ -30,8 +30,8 @@ val is_empty : t -> bool
 val is_full : t -> bool
 val inflight : t -> int
 val has_fault : t -> bool
-val entries : t -> entry list
-(** Oldest first. *)
+(** Some entry is [Faulted].  [length], [is_full], [inflight] and
+    [has_fault] are O(1). *)
 
 val push : t -> seq:int -> addr:int -> data:int -> mask:int -> bool
 (** Inserts (coalescing under WC when a waiting same-word entry

@@ -39,34 +39,40 @@ let push t prio value =
     i := p
   done
 
+let min_prio t =
+  if t.size = 0 then invalid_arg "Pqueue.min_prio: empty";
+  t.heap.(0).prio
+
+let pop_value t =
+  if t.size = 0 then invalid_arg "Pqueue.pop_value: empty";
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    (* sift down *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < t.size && less t.heap.(l) t.heap.(!smallest) then smallest := l;
+      if r < t.size && less t.heap.(r) t.heap.(!smallest) then smallest := r;
+      if !smallest <> !i then begin
+        let tmp = t.heap.(!smallest) in
+        t.heap.(!smallest) <- t.heap.(!i);
+        t.heap.(!i) <- tmp;
+        i := !smallest
+      end
+      else continue := false
+    done
+  end;
+  top.value
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && less t.heap.(l) t.heap.(!smallest) then smallest := l;
-        if r < t.size && less t.heap.(r) t.heap.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.heap.(!smallest) in
-          t.heap.(!smallest) <- t.heap.(!i);
-          t.heap.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some (top.prio, top.value)
-  end
-
-let peek t = if t.size = 0 then None else Some (t.heap.(0).prio, t.heap.(0).value)
+  else
+    let prio = t.heap.(0).prio in
+    Some (prio, pop_value t)
 
 let clear t =
   t.size <- 0;

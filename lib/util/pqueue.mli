@@ -17,5 +17,12 @@ val push : 'a t -> int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Removes the minimum-priority element; FIFO among equals. *)
 
-val peek : 'a t -> (int * 'a) option
+val min_prio : 'a t -> int
+(** The minimum priority, without allocating.
+    @raise Invalid_argument when empty. *)
+
+val pop_value : 'a t -> 'a
+(** [pop] without the option and pair: the event loop's hot path.
+    @raise Invalid_argument when empty. *)
+
 val clear : 'a t -> unit

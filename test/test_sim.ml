@@ -312,6 +312,248 @@ let test_sb_capacity () =
   check Alcotest.bool "full rejects" false
     (Sb.push sb ~seq:2 ~addr:0x10 ~data:3 ~mask:0xFF)
 
+(* The store buffer as a list, with the definitions the array-backed
+   [Sb] replaced kept verbatim: O(n) [length]/[has_fault], append with
+   [@], and the O(n^2) WC drain selection. *)
+module Sb_model = struct
+  type entry = {
+    seq : int;
+    e_addr : int;
+    mutable e_data : int;
+    mutable e_mask : int;
+    mutable status : Sb.status;
+  }
+
+  type t = {
+    cap : int;
+    mode : Ise_model.Axiom.model;
+    mutable items : entry list;
+    mutable n_inflight : int;
+    mutable n_completed : int;
+    mutable occ_watermark : int;
+    mutable infl_watermark : int;
+  }
+
+  let create ~capacity ~mode =
+    { cap = capacity; mode; items = []; n_inflight = 0; n_completed = 0;
+      occ_watermark = 0; infl_watermark = 0 }
+
+  let length t = List.length t.items
+  let is_empty t = t.items = []
+  let is_full t = length t >= t.cap
+
+  let has_fault t =
+    List.exists (fun e -> match e.status with Sb.Faulted _ -> true | _ -> false)
+      t.items
+
+  let word addr = addr lsr 3
+
+  let merge_data old_data old_mask data mask =
+    let d = ref old_data and m = old_mask lor mask in
+    for byte = 0 to 7 do
+      if mask land (1 lsl byte) <> 0 then begin
+        let shift = byte * 8 in
+        let keep = lnot (0xFF lsl shift) in
+        d := (!d land keep) lor (data land (0xFF lsl shift))
+      end
+    done;
+    (!d, m)
+
+  let push t ~seq ~addr ~data ~mask =
+    let coalesced =
+      match t.mode with
+      | Ise_model.Axiom.Wc -> (
+        match
+          List.find_opt
+            (fun e -> word e.e_addr = word addr && e.status = Sb.Waiting)
+            t.items
+        with
+        | Some e ->
+          let d, m = merge_data e.e_data e.e_mask data mask in
+          e.e_data <- d;
+          e.e_mask <- m;
+          true
+        | None -> false)
+      | Ise_model.Axiom.Sc | Ise_model.Axiom.Pc -> false
+    in
+    if coalesced then true
+    else if is_full t then false
+    else begin
+      t.items <-
+        t.items @ [ { seq; e_addr = addr; e_data = data; e_mask = mask;
+                      status = Sb.Waiting } ];
+      t.occ_watermark <- max t.occ_watermark (length t);
+      true
+    end
+
+  let older_same_word_outstanding t entry =
+    List.exists
+      (fun e ->
+        e.seq < entry.seq && word e.e_addr = word entry.e_addr
+        && e.status <> Sb.Waiting)
+      t.items
+
+  let drainable t ~max_inflight =
+    if t.n_inflight >= max_inflight then []
+    else
+      match t.mode with
+      | Ise_model.Axiom.Pc | Ise_model.Axiom.Sc -> (
+        match t.items with
+        | e :: _ when e.status = Sb.Waiting && t.n_inflight = 0 -> [ e ]
+        | _ -> [])
+      | Ise_model.Axiom.Wc ->
+        let budget = max_inflight - t.n_inflight in
+        let rec pick acc n = function
+          | [] -> List.rev acc
+          | _ when n = 0 -> List.rev acc
+          | e :: rest ->
+            if e.status = Sb.Waiting && not (older_same_word_outstanding t e)
+            then pick (e :: acc) (n - 1) rest
+            else pick acc n rest
+        in
+        pick [] budget t.items
+
+  let mark_inflight t e =
+    e.status <- Sb.Inflight;
+    t.n_inflight <- t.n_inflight + 1;
+    t.infl_watermark <- max t.infl_watermark t.n_inflight
+
+  let complete t e =
+    if e.status = Sb.Inflight then t.n_inflight <- t.n_inflight - 1;
+    t.n_completed <- t.n_completed + 1;
+    t.items <- List.filter (fun x -> x.seq <> e.seq) t.items
+
+  let mark_faulted t e code =
+    if e.status = Sb.Inflight then t.n_inflight <- t.n_inflight - 1;
+    e.status <- Sb.Faulted code
+
+  let forward t ~addr =
+    let w = word addr in
+    let rec newest acc = function
+      | [] -> acc
+      | e :: rest ->
+        if word e.e_addr = w then newest (Some e) rest else newest acc rest
+    in
+    match newest None t.items with Some e -> Some e.e_data | None -> None
+
+  let take_all t =
+    let all = t.items in
+    t.items <- [];
+    t.n_inflight <- 0;
+    all
+end
+
+type sb_op =
+  | Push of int * int  (* word, data *)
+  | Drain of int  (* max_inflight *)
+  | Complete of int  (* index into the entries ever drained *)
+  | Fault of int
+  | Forward of int  (* word *)
+  | Take_all
+
+let pp_sb_op = function
+  | Push (w, d) -> Printf.sprintf "push w%d=%d" w d
+  | Drain m -> Printf.sprintf "drain<=%d" m
+  | Complete i -> Printf.sprintf "complete #%d" i
+  | Fault i -> Printf.sprintf "fault #%d" i
+  | Forward w -> Printf.sprintf "forward w%d" w
+  | Take_all -> "take_all"
+
+let gen_sb_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [ (6, map2 (fun w d -> Push (w, d)) (int_bound 5) (int_bound 1000));
+           (4, map (fun m -> Drain m) (int_range 1 4));
+           (3, map (fun i -> Complete i) (int_bound 15));
+           (1, map (fun i -> Fault i) (int_bound 15));
+           (2, map (fun w -> Forward w) (int_bound 5));
+           (1, return Take_all) ]))
+
+(* Runs [ops] on both buffers; the drained entries are addressed by
+   the order they were first drained in, and a completion or fault may
+   reach an entry [take_all] already removed (a terminated core's late
+   drain response). *)
+let sb_agrees mode ops =
+  let sb = Sb.create ~capacity:4 ~mode in
+  let md = Sb_model.create ~capacity:4 ~mode in
+  let drained = ref [||] in
+  let seq = ref 0 in
+  let same what a b =
+    if a <> b then
+      QCheck.Test.fail_reportf "%s differs after %s" what
+        (String.concat "; " (List.map pp_sb_op ops))
+  in
+  let seqs_sb = List.map (fun (e : Sb.entry) -> e.Sb.seq)
+  and seqs_md = List.map (fun (e : Sb_model.entry) -> e.Sb_model.seq) in
+  List.iter
+    (fun op ->
+      (match op with
+       | Push (w, d) ->
+         let addr = (8 * w) + (d land 7) in
+         same "push" (Sb.push sb ~seq:!seq ~addr ~data:d ~mask:0xF)
+           (Sb_model.push md ~seq:!seq ~addr ~data:d ~mask:0xF);
+         incr seq
+       | Drain m ->
+         let a = Sb.drainable sb ~max_inflight:m in
+         let b = Sb_model.drainable md ~max_inflight:m in
+         same "drain order" (seqs_sb a) (seqs_md b);
+         List.iter2
+           (fun x y ->
+             Sb.mark_inflight sb x;
+             Sb_model.mark_inflight md y)
+           a b;
+         drained := Array.append !drained (Array.of_list (List.combine a b))
+       | Complete i when i < Array.length !drained ->
+         let x, y = !drained.(i) in
+         if x.Sb.status = Sb.Inflight then begin
+           Sb.complete sb x;
+           Sb_model.complete md y
+         end
+       | Fault i when i < Array.length !drained ->
+         let x, y = !drained.(i) in
+         if x.Sb.status = Sb.Inflight then begin
+           Sb.mark_faulted sb x Ise_core.Fault.Bus_error;
+           Sb_model.mark_faulted md y Ise_core.Fault.Bus_error
+         end
+       | Complete _ | Fault _ -> ()
+       | Forward w ->
+         same "forward" (Sb.forward sb ~addr:(8 * w))
+           (Sb_model.forward md ~addr:(8 * w))
+       | Take_all ->
+         let a = Sb.take_all sb and b = Sb_model.take_all md in
+         same "take_all" (seqs_sb a) (seqs_md b);
+         same "take_all data"
+           (List.map (fun (e : Sb.entry) -> e.Sb.e_data) a)
+           (List.map (fun (e : Sb_model.entry) -> e.Sb_model.e_data) b));
+      same "length" (Sb.length sb) (Sb_model.length md);
+      same "is_empty" (Sb.is_empty sb) (Sb_model.is_empty md);
+      same "is_full" (Sb.is_full sb) (Sb_model.is_full md);
+      same "inflight" (Sb.inflight sb) md.Sb_model.n_inflight;
+      same "has_fault" (Sb.has_fault sb) (Sb_model.has_fault md);
+      same "completed" (Sb.completed sb) md.Sb_model.n_completed;
+      same "occupancy watermark" (Sb.occupancy_watermark sb)
+        md.Sb_model.occ_watermark;
+      same "inflight watermark" (Sb.inflight_watermark sb)
+        md.Sb_model.infl_watermark)
+    ops;
+  true
+
+let prop_sb_model mode name =
+  QCheck.Test.make ~name ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_sb_op ops))
+       gen_sb_ops)
+    (sb_agrees mode)
+
+let sb_model_tests =
+  List.map
+    (fun (mode, name) ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |])
+        (prop_sb_model mode name))
+    [ (Ise_model.Axiom.Pc, "sb agrees with the list model (PC)");
+      (Ise_model.Axiom.Wc, "sb agrees with the list model (WC)") ]
+
 (* ------------------------------------------------------------------ *)
 (* Core + Machine                                                      *)
 
@@ -636,6 +878,159 @@ let prop_multicore_disjoint_transparency =
       in
       run false = run true)
 
+(* ------------------------------------------------------------------ *)
+(* Golden counters                                                     *)
+
+(* Exact simulated statistics of a few small runs, recorded before the
+   issue scan and store buffer were made incremental.  Any change to
+   these values is a timing-model change, not an optimisation: it must
+   be deliberate and re-record them (and perfbench's reference rows). *)
+
+let golden_counters m =
+  let cores = Array.init (Machine.ncores m) (Machine.core m) in
+  let sum f = Array.fold_left (fun acc c -> acc + f (Core.stats c)) 0 cores in
+  let wm f = Array.fold_left (fun acc c -> max acc (f c)) 0 cores in
+  let mem = Machine.mem m in
+  Printf.sprintf
+    "cycles=%d retired=%d rob_full=%d sb_full=%d sb_wm=%d inflight_wm=%d \
+     l1=%d/%d l2=%d/%d inval=%d noc=%d"
+    (Machine.cycles m) (Machine.total_retired m)
+    (sum (fun s -> s.Core.rob_full_stalls))
+    (sum (fun s -> s.Core.sb_full_stalls))
+    (wm Core.sb_occupancy_watermark) (wm Core.sb_inflight_watermark)
+    (Memsys.l1_hits mem) (Memsys.l1_misses mem) (Memsys.l2_hits mem)
+    (Memsys.l2_misses mem) (Memsys.invalidations mem) (Memsys.noc_hop_cycles mem)
+
+let golden_handler (h : Ise_os.Handler.stats) =
+  Printf.sprintf "inv=%d stores=%d faulting=%d apply=%d other=%d precise=%d"
+    h.Ise_os.Handler.invocations h.stores_handled h.faulting_handled
+    h.apply_cycles h.other_cycles h.precise_faults
+
+let golden_bc cfg =
+  let programs =
+    Ise_workload.Mix.multicore_streams ~seed:11 ~length_per_core:1000 ~cores:4
+      (Ise_workload.Mix.find "BC")
+  in
+  let m = Machine.create ~cfg ~programs () in
+  Machine.set_hooks m null_hooks;
+  Machine.set_trace_enabled m false;
+  Machine.run m;
+  golden_counters m
+
+let test_golden_bc_wc () =
+  check Alcotest.string "BC 4x1000 WC"
+    "cycles=1077 retired=4000 rob_full=1793 sb_full=21 sb_wm=32 \
+     inflight_wm=32 l1=377/1547 l2=218/1329 inval=217 noc=14736"
+    (golden_bc Config.default)
+
+let test_golden_bc_sc () =
+  let cfg =
+    { (Config.with_consistency Ise_model.Axiom.Sc Config.default) with
+      Config.sc_speculative_loads = true }
+  in
+  check Alcotest.string "BC 4x1000 SC speculative loads"
+    "cycles=3272 retired=4000 rob_full=7280 sb_full=0 sb_wm=0 \
+     inflight_wm=0 l1=1266/1631 l2=302/1329 inval=301 noc=16209"
+    (golden_bc cfg)
+
+let test_golden_bc_aso () =
+  check Alcotest.string "BC 4x1000 ASO k=8"
+    "cycles=2254 retired=4000 rob_full=2133 sb_full=1104 \
+     sb_wm=128 inflight_wm=8 l1=346/1538 l2=209/1329 inval=209 \
+     noc=14544"
+    (golden_bc (Ise_aso.Aso_core.aso_config ~checkpoints:8 Config.default))
+
+let test_golden_bfs_faults () =
+  let g =
+    Ise_workload.Graph.power_law (Ise_util.Rng.create 5) ~nodes:150
+      ~avg_degree:6
+  in
+  let bfs = Ise_workload.Gap.bfs g ~base ~src:0 in
+  let m = Machine.create ~programs:[| Ise_workload.Gap.stream_of bfs |] () in
+  Machine.set_trace_enabled m false;
+  let h = Ise_os.Handler.install m in
+  Ise_workload.Gap.mark_faulting m bfs;
+  Machine.run m;
+  check Alcotest.bool "BFS verifies" true (Ise_workload.Gap.verify m bfs);
+  check Alcotest.string "BFS all pages faulting"
+    "cycles=11390 retired=5072 rob_full=1695 sb_full=1772 \
+     sb_wm=32 inflight_wm=32 l1=3796/319 l2=0/319 inval=0 \
+     noc=2478 inv=3 stores=55 faulting=55 apply=1526 other=1500 \
+     precise=1"
+    (golden_counters m ^ " " ^ golden_handler h)
+
+(* AMOs (a younger load to the AMO's word takes the blocked-retry
+   path), fences, branches, register-dependent stores, faulting stores
+   and loads, and timer interrupts that pause the core and defer
+   detections to the return. *)
+let golden_mixed_program rng ~core =
+  let region = base + (core * 0x8000) in
+  let addr () =
+    region + (4096 * Ise_util.Rng.int rng 6) + (8 * Ise_util.Rng.int rng 12)
+  in
+  (* page 6 is only ever loaded from *)
+  let load_addr () = region + (4096 * 6) + (8 * Ise_util.Rng.int rng 12) in
+  List.init 400 (fun _ ->
+      match Ise_util.Rng.int rng 12 with
+      | 0 ->
+        Sim_instr.Amo
+          { dst = Ise_util.Rng.int rng 8; addr = Sim_instr.addr (addr ());
+            op = Memsys.Add 1 }
+      | 1 -> Sim_instr.Fence
+      | 2 -> Sim_instr.Ctrl (Ise_util.Rng.int rng 8)
+      | 3 -> Sim_instr.Nop (1 + Ise_util.Rng.int rng 6)
+      | 4 | 5 -> ld (Ise_util.Rng.int rng 8) (addr ())
+      | 6 -> ld (Ise_util.Rng.int rng 8) (load_addr ())
+      | 7 ->
+        Sim_instr.St
+          { addr = Sim_instr.addr (addr ());
+            data = Sim_instr.From_reg (Ise_util.Rng.int rng 8) }
+      | 8 ->
+        Sim_instr.Ld
+          { dst = Ise_util.Rng.int rng 8;
+            addr = Sim_instr.addr ~dep:(Ise_util.Rng.int rng 8) (addr ()) }
+      | _ -> st (addr ()) (1 + Ise_util.Rng.int rng 1000))
+
+let golden_mixed model =
+  let rng = Ise_util.Rng.create 23 in
+  let programs =
+    Array.init 2 (fun core -> Sim_instr.of_list (golden_mixed_program rng ~core))
+  in
+  let cfg = Config.with_consistency model Config.default in
+  let m = Machine.create ~cfg ~programs () in
+  Machine.set_trace_enabled m false;
+  let h = Ise_os.Handler.install m in
+  (* pages 0-2 and the load-only page 6 of each core fault once: a
+     store reaching one first faults imprecisely (WC/PC), a load or AMO
+     precisely *)
+  for core = 0 to 1 do
+    List.iter
+      (fun page ->
+        Einject.set_faulting (Machine.einject m)
+          (base + (core * 0x8000) + (page * 4096)))
+      [ 0; 1; 2; 6 ]
+  done;
+  Machine.enable_timer_interrupts m ~period:97 ~handler_cycles:40;
+  Machine.run m;
+  Printf.sprintf "%s %s irq=%d/%d" (golden_counters m) (golden_handler h)
+    (Machine.interrupts_taken m) (Machine.interrupts_deferred m)
+
+let test_golden_mixed_wc () =
+  check Alcotest.string "AMO/fence/interrupt program WC"
+    "cycles=3103 retired=800 rob_full=769 sb_full=0 sb_wm=6 \
+     inflight_wm=6 l1=576/39 l2=0/39 inval=0 noc=60 inv=3 \
+     stores=6 faulting=6 apply=414 other=1500 precise=5 \
+     irq=23/37"
+    (golden_mixed Ise_model.Axiom.Wc)
+
+let test_golden_mixed_pc () =
+  check Alcotest.string "AMO/fence/interrupt program PC"
+    "cycles=3641 retired=800 rob_full=797 sb_full=0 sb_wm=7 \
+     inflight_wm=1 l1=569/38 l2=0/38 inval=0 noc=60 inv=3 \
+     stores=9 faulting=3 apply=828 other=1500 precise=5 \
+     irq=31/40"
+    (golden_mixed Ise_model.Axiom.Pc)
+
 let suite =
   [
     ("engine event order", `Quick, test_engine_order);
@@ -664,6 +1059,9 @@ let suite =
     ("sb same-word order", `Quick, test_sb_same_word_order);
     ("sb fault keeps entry", `Quick, test_sb_fault_keeps_entry);
     ("sb capacity", `Quick, test_sb_capacity);
+  ]
+  @ sb_model_tests
+  @ [
     ("machine plain run", `Quick, test_machine_plain_run);
     ("machine store forwarding", `Quick, test_machine_forwarding);
     ("machine dependent store data", `Quick, test_machine_store_reg_data);
@@ -684,4 +1082,10 @@ let suite =
     ("interrupt deferred during handler", `Quick, test_interrupt_deferred_during_handler);
     ("interrupt defers exception episode", `Quick, test_interrupt_defers_exception_episode);
     qtest prop_multicore_disjoint_transparency;
+    ("golden counters BC WC", `Quick, test_golden_bc_wc);
+    ("golden counters BC SC", `Quick, test_golden_bc_sc);
+    ("golden counters BC ASO", `Quick, test_golden_bc_aso);
+    ("golden counters BFS faulting", `Quick, test_golden_bfs_faults);
+    ("golden counters AMO/fence/irq WC", `Quick, test_golden_mixed_wc);
+    ("golden counters AMO/fence/irq PC", `Quick, test_golden_mixed_pc);
   ]

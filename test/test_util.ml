@@ -291,6 +291,42 @@ let prop_bitset_set_clear =
         Bitset.is_empty b
       end)
 
+(* Wordset: a list model across clears, with keys spread so that
+   probe chains wrap around the table *)
+let prop_wordset_model =
+  QCheck.Test.make ~name:"wordset agrees with a list across clears" ~count:200
+    QCheck.(small_list (option (int_range 0 5000)))
+    (fun ops ->
+      let s = Wordset.create ~capacity:12 in
+      let model = ref [] in
+      List.for_all
+        (function
+          | None ->
+            Wordset.clear s;
+            model := [];
+            true
+          | Some k ->
+            if List.length !model < 12 || List.mem k !model then begin
+              Wordset.add s k;
+              if not (List.mem k !model) then model := k :: !model
+            end;
+            List.for_all (Wordset.mem s) !model
+            && List.for_all
+                 (fun j -> Wordset.mem s j = List.mem j !model)
+                 [ k; k + 1; k * 3; 0 ])
+        ops)
+
+let test_wordset_capacity () =
+  let s = Wordset.create ~capacity:2 in
+  Wordset.add s 7;
+  Wordset.add s 9;
+  Wordset.add s 7;
+  Alcotest.check_raises "third distinct key"
+    (Invalid_argument "Wordset.add: over capacity") (fun () -> Wordset.add s 11);
+  Wordset.clear s;
+  Wordset.add s 11;
+  check Alcotest.bool "cleared" false (Wordset.mem s 7)
+
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 
@@ -402,6 +438,8 @@ let suite =
     ("ring pbt peek_at window", `Quick, test_ring_pbt_peek_at_window);
     ("ring create edge cases", `Quick, test_ring_create_edges);
     qtest prop_ring_model;
+    qtest prop_wordset_model;
+    ("wordset capacity", `Quick, test_wordset_capacity);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset bounds", `Quick, test_bitset_bounds);
     ("bitset copy independent", `Quick, test_bitset_copy_independent);
