@@ -928,7 +928,7 @@ let chaos_inject_bug_arg =
 let chaos_run_cmd =
   let run seed trials cores stores profiles_spec telemetry_out trace_out
       snapshot_out journal_out journal_dir ledger corpus_dir no_save inject
-      jobs shard workers spawn spawn_jobs =
+      jobs shard workers spawn =
     let profiles =
       match profiles_of_spec profiles_spec with
       | Ok ps -> ps
@@ -1000,7 +1000,7 @@ let chaos_run_cmd =
                 (Filename.get_temp_dir_name ())
                 (Printf.sprintf "ise-chaos-fabric-%d" (Unix.getpid ()))
             in
-            Some (Ise_fabric.Sim.start ~jobs:spawn_jobs ~dir ~n:spawn ())
+            Some (Ise_fabric.Sim.start ~dir ~n:spawn ())
         in
         let workers =
           workers
@@ -1277,11 +1277,6 @@ let chaos_run_cmd =
              ~doc:"Additionally fork N local fabric workers for the run's \
                    duration.")
   in
-  let spawn_jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "spawn-jobs" ] ~docv:"N"
-             ~doc:"Pool fan-out inside each --spawn worker.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Seeded fault-injection stress runs with the invariant watchdog \
@@ -1290,8 +1285,7 @@ let chaos_run_cmd =
           $ profiles_arg $ telemetry_out_arg $ trace_out_arg
           $ snapshot_out_arg $ journal_out_arg $ journal_dir_arg $ ledger_arg
           $ corpus_arg $ nosave_arg $ chaos_inject_bug_arg $ jobs_arg
-          $ shard_arg ~what:"trial" $ workers_arg $ spawn_arg
-          $ spawn_jobs_arg)
+          $ shard_arg ~what:"trial" $ workers_arg $ spawn_arg)
 
 let chaos_replay_cmd =
   let run corpus_dir files seeds inject =
@@ -1855,14 +1849,13 @@ let netchaos_profile_names () =
        (Ise_fabric.Netchaos.calm :: Ise_fabric.Netchaos.all))
 
 let fabric_worker_cmd =
-  let run socket jobs proto quiet =
+  let run socket proto quiet =
     let log =
       if quiet then ignore
       else fun msg -> Printf.eprintf "[ise-fabric-worker] %s\n%!" msg
     in
     Ise_fabric.Worker.run
       { (Ise_fabric.Worker.default_config ~socket_path:socket) with
-        jobs;
         proto;
         log;
       };
@@ -1884,10 +1877,10 @@ let fabric_worker_cmd =
   in
   Cmd.v
     (Cmd.info "worker"
-       ~doc:"Run a fabric worker daemon: executes campaign shard ranges for \
-             a supervisor over a Unix socket, fanned out over a persistent \
-             process pool")
-    Term.(const run $ socket_arg $ jobs_arg $ proto_arg $ quiet_arg)
+       ~doc:"Run a fabric worker daemon: checks campaign shard ranges for \
+             a supervisor over a Unix socket in one process (run one \
+             worker per core)")
+    Term.(const run $ socket_arg $ proto_arg $ quiet_arg)
 
 let fabric_chaos_proxy_cmd =
   let run listen upstream seed profile quiet =
@@ -2008,10 +2001,9 @@ let mkdir_p dir =
   try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
 let fabric_run_cmd =
-  let run seed count seeds_per_test variants_spec workers spawn spawn_jobs
-      shards window store_dir corpus_dir no_save ledger require_workers
-      netchaos netchaos_seed soak_rejoin top status_out prom_out trace_dir
-      quiet =
+  let run seed count seeds_per_test variants_spec workers spawn shards
+      window store_dir corpus_dir no_save ledger require_workers netchaos
+      netchaos_seed soak_rejoin top status_out prom_out trace_dir quiet =
     let variants =
       match variants_of_spec variants_spec with
       | Ok vs -> vs
@@ -2092,8 +2084,7 @@ let fabric_run_cmd =
             (Printf.sprintf "ise-fabric-%d" (Unix.getpid ()))
         in
         Some
-          (Ise_fabric.Sim.start ~jobs:spawn_jobs ~log ?netchaos ?trace_dir
-             ~dir ~n:spawn ())
+          (Ise_fabric.Sim.start ~log ?netchaos ?trace_dir ~dir ~n:spawn ())
       end
     in
     let workers =
@@ -2262,11 +2253,6 @@ let fabric_run_cmd =
              ~doc:"Additionally fork N local worker daemons for the run's \
                    duration (single-host fabric).")
   in
-  let spawn_jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "spawn-jobs" ] ~docv:"N"
-             ~doc:"Pool fan-out inside each --spawn worker.")
-  in
   let shards_arg =
     Arg.(value & opt (some int) None
          & info [ "shards" ] ~docv:"N"
@@ -2353,7 +2339,7 @@ let fabric_run_cmd =
        ~doc:"Run a fuzzing campaign across fabric workers; the merged \
              report is byte-identical to a single-host run of the same seed")
     Term.(const run $ seed_arg $ count_arg $ fuzz_seeds_arg $ variants_arg
-          $ workers_arg $ spawn_arg $ spawn_jobs_arg $ shards_arg
+          $ workers_arg $ spawn_arg $ shards_arg
           $ window_arg $ store_arg $ corpus_arg $ nosave_arg $ ledger_arg
           $ require_workers_arg $ netchaos_arg $ netchaos_seed_arg
           $ soak_rejoin_arg $ top_arg $ status_out_arg $ prom_out_arg

@@ -15,7 +15,6 @@ val available : bool
 type t
 
 val start :
-  ?jobs:int ->
   ?log:(string -> unit) ->
   ?proto:int ->
   ?netchaos:int * Netchaos.profile ->
@@ -25,9 +24,9 @@ val start :
   unit ->
   t
 (** Fork [n] worker daemons listening on [dir/worker<k>.sock], each
-    with a pool of [jobs] (default 1) speaking fabric versions up to
-    [proto] (default {!Wire.version}; pass 1 to simulate a fleet of
-    old workers).  With [netchaos = (seed, profile)], each worker
+    one checking process speaking fabric versions up to [proto]
+    (default {!Wire.version}; pass 1 to simulate a fleet of old
+    workers).  With [netchaos = (seed, profile)], each worker
     instead listens on [dir/worker<k>.real.sock] and a forked
     {!Netchaos.spawn} proxy serves [dir/worker<k>.sock] in front of
     it, seeded deterministically per worker ([seed + 7919·k]).  With

@@ -54,7 +54,6 @@ type shard_result = {
 
 type worker_stats = {
   ws_pid : int;
-  ws_jobs : int;
   ws_proto : int;
   ws_shards_run : int;
   ws_pings : int;

@@ -95,7 +95,6 @@ type shard_result = {
 
 type worker_stats = {
   ws_pid : int;
-  ws_jobs : int;
   ws_proto : int;  (** highest version the worker speaks *)
   ws_shards_run : int;
   ws_pings : int;  (** pings answered *)

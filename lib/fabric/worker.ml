@@ -6,7 +6,6 @@ module Json = Ise_telemetry.Json
 
 type config = {
   socket_path : string;
-  jobs : int;
   proto : int;
   max_payload : int;
   trace_out : string option;
@@ -15,19 +14,16 @@ type config = {
 
 let default_config ~socket_path = {
   socket_path;
-  jobs = 1;
   proto = Wire.version;
   max_payload = 64 * 1024 * 1024;
   trace_out = None;
   log = ignore;
 }
 
-(* Pool jobs carry the campaign, so the pool's function is fixed at
-   creation and the workers can be prespawned before any campaign
-   arrives.  Each process (the daemon and every forked pool worker)
-   memoizes the regenerated fuzz test stream per spec fingerprint: a
-   campaign's generation cost is paid once per process, not once per
-   shard.  Chaos campaigns need no memo — trials are self-contained. *)
+(* The daemon memoizes the regenerated fuzz test stream per spec
+   fingerprint: a campaign's generation cost is paid once per worker,
+   not once per shard.  Chaos campaigns need no memo — trials are
+   self-contained. *)
 let memo : (string * Ise_litmus.Lit_test.t array) option ref = ref None
 
 let tests_for spec =
@@ -39,57 +35,19 @@ let tests_for spec =
     memo := Some (fp, tests);
     tests
 
-(* The trace context rides the pool's Codec job frames too, so a
-   forked pool worker can attribute its work to the campaign's
-   distributed trace (via the flight recorder, when one is enabled —
-   a no-op otherwise). *)
-type pool_job = {
-  pj_campaign : Wire.campaign;
-  pj_lo : int;
-  pj_hi : int;
-  pj_ctx : (string * string) option;  (* (trace_id, parent span id) *)
-}
-
-let check { pj_campaign = c; pj_lo = lo; pj_hi = hi; pj_ctx } :
-    Wire.shard_payload =
-  (match pj_ctx with
-   | None -> ()
-   | Some (trace_id, parent) ->
-     Ise_obs.Recorder.note ~cat:"fabric"
-       ~args:
-         [ (Trace.ctx_key_trace, Json.String trace_id);
-           (Trace.ctx_key_parent, Json.String parent);
-           ("lo", Json.Int lo); ("hi", Json.Int hi) ]
-       "pool-subrange");
-  match c with
+let check campaign ~lo ~hi : Wire.shard_payload =
+  match campaign with
   | Wire.Fuzz spec ->
     Wire.Fuzz_raw (Campaign.check_range spec ~tests:(tests_for spec) ~lo ~hi)
   | Wire.Chaos cs ->
     Wire.Chaos_reports (Ise_chaos.Chaos_run.check_range cs ~lo ~hi)
 
-let concat_payloads (ps : Wire.shard_payload list) : Wire.shard_payload =
-  match ps with
-  | Wire.Chaos_reports _ :: _ ->
-    Wire.Chaos_reports
-      (List.concat_map
-         (function Wire.Chaos_reports rs -> rs | Wire.Fuzz_raw _ -> [])
-         ps)
-  | _ ->
-    Wire.Fuzz_raw
-      (List.concat_map
-         (function Wire.Fuzz_raw rs -> rs | Wire.Chaos_reports _ -> [])
-         ps)
-
 type t = {
   cfg : config;
   framed : Framed.t;
   started : float;
-  pool : (pool_job, Wire.shard_payload) Ise_pool.Pool.t option;
   registry : Registry.t;  (* drained into Telemetry frames *)
   trace : Trace.t;  (* wall-clock µs shard spans, written to trace_out *)
-  pool_sink : Ise_telemetry.Sink.t;
-      (* shares [registry]; its trace is a throwaway — pool spans use
-         relative timestamps and would pollute the stitched timeline *)
   mutable stream : bool;  (* a v3 supervisor asked for Telemetry frames *)
   mutable tele_seq : int;
   mutable campaign : Wire.campaign option;
@@ -99,26 +57,12 @@ type t = {
 }
 
 let create cfg =
-  let framed = Framed.create ~socket_path:cfg.socket_path () in
-  (* fork the pool before any supervisor connects, so pool workers
-     inherit a pristine address space (no connection fds) *)
-  let pool =
-    if cfg.jobs > 1 && Ise_pool.Pool.fork_available then begin
-      let p = Ise_pool.Pool.create ~jobs:cfg.jobs check in
-      Ise_pool.Pool.prespawn p;
-      Some p
-    end
-    else None
-  in
-  let registry = Registry.create () in
   {
     cfg;
-    framed;
+    framed = Framed.create ~socket_path:cfg.socket_path ();
     started = Unix.gettimeofday ();
-    pool;
-    registry;
+    registry = Registry.create ();
     trace = Trace.create ();
-    pool_sink = { Ise_telemetry.Sink.registry; trace = Trace.create () };
     stream = false;
     tele_seq = 0;
     campaign = None;
@@ -132,7 +76,6 @@ let install_signal_handlers t = Framed.install_signal_handlers t.framed
 
 let stats t = {
   Wire.ws_pid = Unix.getpid ();
-  ws_jobs = t.cfg.jobs;
   ws_proto = t.cfg.proto;
   ws_shards_run = t.shards_run;
   ws_pings = t.pings;
@@ -195,10 +138,9 @@ let send_error t conn kind msg =
    with Unix.Unix_error _ | Sys_error _ -> ());
   Framed.close_conn t.framed conn
 
-(* One shard: fan [lo, hi) out over the persistent pool in contiguous
-   sub-ranges (results concatenated in order keep global check order),
-   or run inline when the pool is disabled.  Any sub-range failure
-   fails the whole shard — the supervisor's re-dispatch handles it. *)
+(* One shard, checked in-process.  A raising check (a bad range
+   included) fails the shard — the supervisor's retry and loss policy
+   handles it — and leaves the connection open. *)
 let run_shard t campaign (j : Wire.job) =
   (* Shard span, parented under the supervisor's dispatch span when the
      job carries a context.  The "receive" instant is the stitcher's
@@ -225,38 +167,9 @@ let run_shard t campaign (j : Wire.job) =
        ~args:[ ("lo", Json.Int j.Wire.j_lo); ("hi", Json.Int j.Wire.j_hi) ]
        ~ctx:c ~name:span_name ~tid:0 now);
   let started = Unix.gettimeofday () in
-  let sub_results =
-    match t.pool with
-    | Some pool when j.Wire.j_hi - j.Wire.j_lo > 1 ->
-      let parts =
-        Plan.partition ~count:(j.Wire.j_hi - j.Wire.j_lo) ~shards:t.cfg.jobs
-      in
-      let pj_ctx =
-        Option.map (fun c -> (c.Trace.trace_id, c.Trace.span_id)) ctx
-      in
-      let pjobs =
-        Array.map
-          (fun (a, b) ->
-            { pj_campaign = campaign; pj_lo = j.Wire.j_lo + a;
-              pj_hi = j.Wire.j_lo + b; pj_ctx })
-          parts
-      in
-      let telemetry = if t.stream then Some t.pool_sink else None in
-      let outcomes, _stats = Ise_pool.Pool.run ?telemetry pool pjobs in
-      Array.to_list outcomes
-      |> List.map (function
-           | Ise_pool.Pool.Done payload -> Ok payload
-           | Ise_pool.Pool.Failed err ->
-             Error (Ise_pool.Pool.error_to_string err)
-           | Ise_pool.Pool.Split _ -> assert false (* no bisect here *))
-    | _ -> (
-      match
-        check
-          { pj_campaign = campaign; pj_lo = j.Wire.j_lo; pj_hi = j.Wire.j_hi;
-            pj_ctx = None }
-      with
-      | payload -> [ Ok payload ]
-      | exception e -> [ Error (Printexc.to_string e) ])
+  let result =
+    try Ok (check campaign ~lo:j.Wire.j_lo ~hi:j.Wire.j_hi)
+    with e -> Error (Printexc.to_string e)
   in
   let elapsed_ms = (Unix.gettimeofday () -. started) *. 1e3 in
   (match ctx with
@@ -265,16 +178,9 @@ let run_shard t campaign (j : Wire.job) =
      Trace.span_end t.trace ~cat:"fabric" ~ctx:c ~name:span_name ~tid:0
        (now_us ());
      flush_trace t);
-  match
-    List.find_map (function Error r -> Some r | Ok _ -> None) sub_results
-  with
-  | Some reason -> Wire.Shard_failed { shard = j.Wire.j_shard; reason }
-  | None ->
-    let payload =
-      concat_payloads
-        (List.filter_map (function Ok p -> Some p | Error _ -> None)
-           sub_results)
-    in
+  match result with
+  | Error reason -> Wire.Shard_failed { shard = j.Wire.j_shard; reason }
+  | Ok payload ->
     t.shards_run <- t.shards_run + 1;
     Registry.incr (Registry.counter t.registry "fabric/worker/shards_done");
     Ise_util.Stats.add
@@ -348,24 +254,16 @@ let handle_request t conn (req : Wire.request) =
     | None ->
       send_error t conn Framed.Bad_request "Run before Set_spec"
     | Some campaign ->
-      let count = Wire.campaign_count campaign in
-      if j.Wire.j_lo < 0 || j.Wire.j_hi > count || j.Wire.j_lo > j.Wire.j_hi
-      then
-        send_error t conn Framed.Bad_request
-          (Printf.sprintf "shard range [%d, %d) outside [0, %d)"
-             j.Wire.j_lo j.Wire.j_hi count)
-      else begin
-        t.cfg.log
-          (Printf.sprintf "shard %d: units [%d, %d)" j.Wire.j_shard
-             j.Wire.j_lo j.Wire.j_hi);
-        if j.Wire.j_stream && Framed.proto conn >= 3 then t.stream <- true;
-        match run_shard t campaign j with
-        | resp ->
-          send t conn resp;
-          send_telemetry t conn
-        | exception e ->
-          send_error t conn Framed.Internal (Printexc.to_string e)
-      end)
+      t.cfg.log
+        (Printf.sprintf "shard %d: units [%d, %d)" j.Wire.j_shard
+           j.Wire.j_lo j.Wire.j_hi);
+      if j.Wire.j_stream && Framed.proto conn >= 3 then t.stream <- true;
+      match run_shard t campaign j with
+      | resp ->
+        send t conn resp;
+        send_telemetry t conn
+      | exception e ->
+        send_error t conn Framed.Internal (Printexc.to_string e))
   | Wire.Worker_stats_req -> send t conn (Wire.Worker_stats (stats t))
   | Wire.Shutdown ->
     send t conn Wire.Shutting_down;
@@ -373,8 +271,8 @@ let handle_request t conn (req : Wire.request) =
     request_drain t
 
 let serve_forever t =
-  t.cfg.log (Printf.sprintf "fabric worker on %s (pid %d, jobs %d, proto v%d)"
-               t.cfg.socket_path (Unix.getpid ()) t.cfg.jobs t.cfg.proto);
+  t.cfg.log (Printf.sprintf "fabric worker on %s (pid %d, proto v%d)"
+               t.cfg.socket_path (Unix.getpid ()) t.cfg.proto);
   Framed.serve t.framed ~proto:t.cfg.proto ~min_proto:Wire.min_version
     ~max_payload:t.cfg.max_payload
     ~error:(fun conn kind msg -> send_error t conn kind msg)
@@ -391,7 +289,6 @@ let serve_forever t =
         send_error t conn Framed.Malformed_frame
           "request payload does not decode")
     ~on_drained:(fun () ->
-      Option.iter Ise_pool.Pool.close t.pool;
       flush_trace t;
       t.cfg.log "drained; bye")
 

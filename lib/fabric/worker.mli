@@ -20,23 +20,24 @@
     the worker into streaming mode: after every Shard_done (and after
     every Pong while idle) it sends one {!Wire.Telemetry} frame
     carrying the delta of its metrics registry since the previous
-    drain — shards done, shard wall-clock histogram, pings, and the
-    per-pool-worker job-latency histograms from {!Ise_pool.Pool}.
+    drain — shards done, shard wall-clock histogram and pings.
 
     Work model: {!Wire.Set_spec} installs the campaign — fuzz
     ({!Ise_fuzz.Campaign.check_range}) or chaos
     ({!Ise_chaos.Chaos_run.check_range}); each {!Wire.Run} job names a
-    global unit range, fanned out over a persistent {!Ise_pool.Pool}
-    of [jobs] forked processes in contiguous sub-ranges (results
-    concatenated in order), or run inline when [jobs <= 1].  The fuzz
-    test stream is regenerated from the spec and memoized per spec
-    fingerprint, so only ranges cross the wire.  Raw results go back
-    unshrunk and unlogged: shrinking, reporting and merging are the
-    supervisor's (deterministic) job. *)
+    global unit range, checked in this process.  A worker is one
+    checking process: a host runs one worker per core.  A check that
+    raises — a range outside the spec's count included — answers
+    {!Wire.Shard_failed} naming the exception and leaves the
+    connection open, so the supervisor's retry-then-lose policy is
+    the only failure policy in a fabric run.  The fuzz test stream is
+    regenerated from the spec and memoized per spec fingerprint, so
+    only ranges cross the wire.  Raw results go back unshrunk and
+    unlogged: shrinking, reporting and merging are the supervisor's
+    (deterministic) job. *)
 
 type config = {
   socket_path : string;
-  jobs : int;  (** pool fan-out inside this worker; [<= 1] inline *)
   proto : int;  (** highest fabric version to speak (tests set 1) *)
   max_payload : int;
   trace_out : string option;
@@ -50,15 +51,13 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** [jobs = 1], [proto = Wire.version], 64 MiB max payload, no trace
-    file, silent. *)
+(** [proto = Wire.version], 64 MiB max payload, no trace file, silent. *)
 
 type t
 
 val create : config -> t
 (** Binds and listens (replacing a dead predecessor's stale socket,
-    refusing to steal a live one), and prespawns the pool when
-    [jobs > 1]. *)
+    refusing to steal a live one). *)
 
 val request_drain : t -> unit
 val install_signal_handlers : t -> unit

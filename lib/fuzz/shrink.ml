@@ -124,5 +124,25 @@ let candidates t =
     (List.to_seq
        [ drop_threads t; drop_instrs t; simplify_instrs t; merge_locs t ])
 
-let minimize ?max_evals ~keeps_failing t =
-  Pbt.minimize ?max_evals candidates keeps_failing t
+(* Greedy: take the first candidate that keeps failing, repeat from
+   it.  [max_evals] bounds the calls to [keeps_failing]; once it is
+   spent no further candidate is even built. *)
+let minimize ?(max_evals = 10_000) ~keeps_failing t =
+  let evals = ref 0 in
+  let rec first seq =
+    if !evals >= max_evals then None
+    else
+      match seq () with
+      | Seq.Nil -> None
+      | Seq.Cons (c, rest) ->
+        incr evals;
+        if keeps_failing c then Some c else first rest
+  in
+  let rec go t steps =
+    if !evals >= max_evals then (t, steps)
+    else
+      match first (candidates t) with
+      | Some c -> go c (steps + 1)
+      | None -> (t, steps)
+  in
+  go t 0

@@ -29,6 +29,10 @@ val candidates : Ise_litmus.Lit_test.t -> Ise_litmus.Lit_test.t Seq.t
 val minimize :
   ?max_evals:int -> keeps_failing:(Ise_litmus.Lit_test.t -> bool) ->
   Ise_litmus.Lit_test.t -> Ise_litmus.Lit_test.t * int
-(** Greedy fixpoint over {!candidates}; returns the minimum and the
-    number of accepted steps.  [keeps_failing t] is assumed for the
-    input. *)
+(** Greedy fixpoint over {!candidates}: repeatedly takes the first
+    candidate for which [keeps_failing] holds.  Returns the minimum and
+    the number of accepted steps (0 when [t] is already minimal).
+    [keeps_failing t] is assumed for the input.  [max_evals] (default
+    10_000) bounds the total calls to [keeps_failing]; when it is
+    spent, minimization stops at the current test without building
+    further candidates. *)

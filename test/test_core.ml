@@ -1,7 +1,9 @@
 open Ise_core
 
 let check = Alcotest.check
-let qtest = QCheck_alcotest.to_alcotest
+(* fixed seed: every run checks the same cases, and a failure replays *)
+let qtest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |]) t
 
 let record ?(core = 0) ?(code = Fault.Bus_error) seq addr data =
   { Fault.core; seq; addr; data; byte_mask = 0xFF; code }

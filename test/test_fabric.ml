@@ -325,9 +325,9 @@ let hello fd =
   | Ok _ -> Alcotest.fail "expected Hello_ok"
   | Error msg -> Alcotest.failf "hello failed: %s" msg
 
-let with_sim ?(n = 1) ?jobs ?proto ?netchaos ?trace_dir f =
+let with_sim ?(n = 1) ?proto ?netchaos ?trace_dir f =
   let dir = tmp_dir () in
-  let sim = Sim.start ?jobs ?proto ?netchaos ?trace_dir ~dir ~n () in
+  let sim = Sim.start ?proto ?netchaos ?trace_dir ~dir ~n () in
   Fun.protect ~finally:(fun () -> Sim.stop sim) (fun () -> f sim)
 
 let test_worker_hello_discipline () =
@@ -422,9 +422,38 @@ let test_worker_malformed_traffic () =
          | Ok (Wire.Shard_done sr) ->
            checki "echoes the shard id" 0 sr.Wire.sr_shard
          | Ok _ | Error _ -> Alcotest.fail "worker did not survive abuse");
-        (* a Run range outside the spec is a Bad_request *)
+        Unix.close fd)
+
+(* A raising check is the worker's only failure path: a Run range
+   outside the spec's count reaches [Campaign.check_range], which
+   raises; the worker answers Shard_failed with the check's reason and
+   keeps the connection serving. *)
+let test_worker_shard_failed () =
+  if not (requires_fork ()) then ()
+  else
+    with_sim (fun sim ->
+        let fd = raw_connect (List.hd (Sim.sockets sim)) in
+        hello fd;
+        let spec = Campaign.spec ~count:2 ~seeds_per_test:2 ~seed:1 () in
+        Wire.write_request fd (Wire.Set_spec (Wire.Fuzz spec));
+        (match Wire.read_response fd with
+         | Ok Wire.Spec_ok -> ()
+         | Ok _ | Error _ -> Alcotest.fail "Set_spec refused");
         Wire.write_request fd (Wire.Run (Wire.plain_job ~shard:1 ~lo:0 ~hi:99));
-        expect_err fd Framed.Bad_request;
+        (match Wire.read_response fd with
+         | Ok (Wire.Shard_failed { shard; reason }) ->
+           checki "names the failed shard" 1 shard;
+           checks "reason is the check's exception"
+             (Printexc.to_string
+                (Invalid_argument "Campaign.check_range: bad range"))
+             reason
+         | Ok _ -> Alcotest.fail "expected Shard_failed"
+         | Error msg -> Alcotest.failf "no Shard_failed: %s" msg);
+        Wire.write_request fd (Wire.Run (Wire.plain_job ~shard:2 ~lo:0 ~hi:2));
+        (match Wire.read_response fd with
+         | Ok (Wire.Shard_done sr) ->
+           checki "same connection serves the next shard" 2 sr.Wire.sr_shard
+         | Ok _ | Error _ -> Alcotest.fail "connection lost after Shard_failed");
         Unix.close fd)
 
 let test_worker_wire_hostility () =
@@ -1185,4 +1214,6 @@ let suite =
       test_chaos_spec_mapping;
     Alcotest.test_case "chaos: fabric dispatch = local trial stream" `Slow
       test_chaos_fabric_identity;
+    Alcotest.test_case "worker: a raising check is Shard_failed" `Quick
+      test_worker_shard_failed;
   ]

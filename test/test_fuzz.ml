@@ -1,8 +1,8 @@
-(* Tests for the differential fuzzing harness: the PBT core itself,
-   property tests of Ise_util written with that core, the litmus
-   shrinker, the corpus format, and campaign end-to-end behaviour
-   (including finding, shrinking, and replaying an injected model
-   bug). *)
+(* Tests for the differential fuzzing harness: model properties of the
+   Ise_util structures it builds on, generator parameter validation,
+   the litmus shrinker, the corpus format, and campaign
+   end-to-end behaviour (including finding, shrinking, and replaying
+   an injected model bug). *)
 
 open Ise_fuzz
 module Rng = Ise_util.Rng
@@ -19,99 +19,35 @@ let contains_substring hay needle =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* PBT core *)
-
-let ints = Pbt.make ~shrink:Pbt.shrink_int ~pp:Format.pp_print_int
-    (Pbt.int_range 0 1000)
-
-let test_pbt_finds_and_shrinks () =
-  match Pbt.run ~count:200 ~seed:11 ints (fun n -> n < 50) with
-  | Pbt.Passed _ -> Alcotest.fail "property n < 50 should fail on 0..1000"
-  | Pbt.Failed f ->
-    checkb "generated case fails" false (f.Pbt.fail_case < 50);
-    checki "shrunk to boundary" 50 f.Pbt.fail_shrunk;
-    check (Alcotest.option Alcotest.string) "no exception" None f.Pbt.fail_error
-
-let test_pbt_deterministic () =
-  let once () =
-    match Pbt.run ~count:200 ~seed:13 ints (fun n -> n mod 7 <> 3) with
-    | Pbt.Passed _ -> Alcotest.fail "n mod 7 <> 3 should fail"
-    | Pbt.Failed f -> (f.Pbt.fail_index, f.Pbt.fail_case, f.Pbt.fail_shrunk)
-  in
-  let i1, c1, s1 = once () and i2, c2, s2 = once () in
-  checki "same failing index" i1 i2;
-  checki "same failing case" c1 c2;
-  checki "same shrunk case" s1 s2;
-  (* greedy shrinking only promises a local minimum that still fails *)
-  checki "shrunk still fails" 3 (s1 mod 7);
-  checkb "shrunk no larger than the case" true (s1 <= c1)
-
-let test_pbt_exception_is_failure () =
-  match
-    Pbt.run ~count:200 ~seed:17 ints (fun n ->
-        if n > 100 then failwith "boom" else true)
-  with
-  | Pbt.Passed _ -> Alcotest.fail "raising property should fail"
-  | Pbt.Failed f ->
-    checkb "error recorded"
-      true
-      (match f.Pbt.fail_error with
-      | Some m -> contains_substring m "boom"
-      | None -> false);
-    checki "shrunk to boundary" 101 f.Pbt.fail_shrunk
-
-let test_pbt_minimize_idempotent () =
-  let still_fails n = n >= 50 in
-  let m, steps = Pbt.minimize Pbt.shrink_int still_fails 700 in
-  checki "minimum" 50 m;
-  checkb "made progress" true (steps > 0);
-  let m', steps' = Pbt.minimize Pbt.shrink_int still_fails m in
-  checki "re-minimizing is a no-op" m m';
-  checki "zero steps on a minimum" 0 steps'
-
-let test_pbt_list_shrink () =
-  let lists =
-    Pbt.make
-      ~shrink:(Pbt.shrink_list ~elt:Pbt.shrink_int)
-      ~pp:(fun ppf l ->
-        Format.fprintf ppf "[%s]"
-          (String.concat "; " (List.map string_of_int l)))
-      (Pbt.list_of ~max:8 (Pbt.int_range 0 20))
-  in
-  match Pbt.run ~count:300 ~seed:19 lists (List.for_all (fun n -> n <= 10)) with
-  | Pbt.Passed _ -> Alcotest.fail "lists with an element > 10 exist"
-  | Pbt.Failed f ->
-    check Alcotest.(list int) "shrunk to the single smallest witness"
-      [ 11 ] f.Pbt.fail_shrunk
-
-let test_pbt_bad_params () =
-  let rng = Rng.create 1 in
-  Alcotest.check_raises "empty oneof" (Invalid_argument "Pbt.oneof: empty list")
-    (fun () -> ignore (Pbt.oneof [] rng));
-  Alcotest.check_raises "empty choose"
-    (Invalid_argument "Pbt.choose: empty list") (fun () ->
-      ignore (Pbt.choose [] rng));
-  Alcotest.check_raises "inverted range"
-    (Invalid_argument "Pbt.int_range: empty range") (fun () ->
-      ignore (Pbt.int_range 5 3 rng))
-
-(* ------------------------------------------------------------------ *)
-(* Ise_util properties, written with the new core *)
+(* Ise_util properties *)
 
 module RB = Ise_util.Ring_buffer
 module PQ = Ise_util.Pqueue
 module BS = Ise_util.Bitset
-module Stats = Ise_util.Stats
+
+(* fixed seeds: every run checks the same cases, and a failure replays *)
+let qtest ~seed t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
 
 type rop = RPush of int | RPop | RPeek | RClear
 
+let pp_rop = function
+  | RPush v -> Printf.sprintf "push %d" v
+  | RPop -> "pop"
+  | RPeek -> "peek"
+  | RClear -> "clear"
+
 let ring_ops =
-  Pbt.list_of ~max:40
-    (Pbt.frequency
-       [ (5, Pbt.map (fun v -> RPush v) (Pbt.int_range 0 99));
-         (3, Pbt.return RPop);
-         (1, Pbt.return RPeek);
-         (1, Pbt.return RClear) ])
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_rop ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(
+      list_size (int_range 0 40)
+        (frequency
+           [ (5, map (fun v -> RPush v) (int_range 0 99));
+             (3, return RPop);
+             (1, return RPeek);
+             (1, return RClear) ]))
 
 (* Ring_buffer against the obvious list model, including the
    raise-on-full / raise-on-empty contract. *)
@@ -149,14 +85,14 @@ let ring_buffer_agrees ops =
   !ok && RB.to_list rb = !model && RB.length rb = List.length !model
   && RB.is_empty rb = (!model = [])
 
-let test_ring_buffer_model () =
-  Pbt.check ~count:300 ~seed:23 ~name:"ring buffer = list model"
-    (Pbt.make ring_ops) ring_buffer_agrees
+let prop_ring_buffer_model =
+  QCheck.Test.make ~name:"util: ring buffer vs list model" ~count:300 ring_ops
+    ring_buffer_agrees
 
-let test_pqueue_ordering () =
-  let prios = Pbt.list_of ~min:1 ~max:30 (Pbt.int_range 0 9) in
-  Pbt.check ~count:300 ~seed:29 ~name:"pqueue pops = stable sort"
-    (Pbt.make prios) (fun prios ->
+let prop_pqueue_ordering =
+  QCheck.Test.make ~name:"util: pqueue ordering" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 30) (int_range 0 9))
+    (fun prios ->
       let q = PQ.create () in
       List.iteri (fun idx p -> PQ.push q p idx) prios;
       let popped = ref [] in
@@ -175,48 +111,22 @@ let test_pqueue_ordering () =
       in
       List.rev !popped = expected && PQ.is_empty q)
 
-type bop = BSet of int | BClr of int
-
-let test_bitset_model () =
+let prop_bitset_model =
   let n = 16 in
-  let ops =
-    Pbt.list_of ~max:60
-      (Pbt.oneof
-         [ Pbt.map (fun i -> BSet i) (Pbt.int_range 0 (n - 1));
-           Pbt.map (fun i -> BClr i) (Pbt.int_range 0 (n - 1)) ])
-  in
-  Pbt.check ~count:300 ~seed:31 ~name:"bitset = bool array"
-    (Pbt.make ops) (fun ops ->
+  QCheck.Test.make ~name:"util: bitset vs bool array" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 60) (pair bool (int_range 0 (n - 1))))
+    (fun ops ->
       let bs = BS.create n in
       let model = Array.make n false in
       List.iter
-        (fun op ->
-          match op with
-          | BSet i ->
-            BS.set bs i;
-            model.(i) <- true
-          | BClr i ->
-            BS.clear bs i;
-            model.(i) <- false)
+        (fun (set, i) ->
+          if set then BS.set bs i else BS.clear bs i;
+          model.(i) <- set)
         ops;
       let members = List.filter (fun i -> model.(i)) (List.init n Fun.id) in
       BS.to_list bs = members
       && BS.cardinal bs = List.length members
       && List.for_all (fun i -> BS.mem bs i = model.(i)) (List.init n Fun.id))
-
-let test_stats_percentile_monotone () =
-  let samples = Pbt.list_of ~min:1 ~max:50 (Pbt.int_range (-100) 100) in
-  let queries = Pbt.pair (Pbt.int_range 0 100) (Pbt.int_range 0 100) in
-  Pbt.check ~count:300 ~seed:37 ~name:"percentile is monotone in p"
-    (Pbt.make (Pbt.pair samples queries))
-    (fun (samples, (q1, q2)) ->
-      let s = Stats.create () in
-      List.iter (Stats.add_int s) samples;
-      let lo = float_of_int (min q1 q2) and hi = float_of_int (max q1 q2) in
-      let p_lo = Stats.percentile s lo and p_hi = Stats.percentile s hi in
-      p_lo <= p_hi
-      && Stats.min_value s <= Stats.percentile s 0.
-      && Stats.percentile s 100. <= Stats.max_value s)
 
 (* ------------------------------------------------------------------ *)
 (* Generator parameter validation *)
@@ -286,7 +196,16 @@ let test_shrink_preserves_and_terminates () =
   check Alcotest.string "name preserved" t.Lit_test.name shrunk.Lit_test.name;
   let again, steps' = Shrink.minimize ~keeps_failing:has_fence shrunk in
   checki "idempotent: zero further steps" 0 steps';
-  checki "idempotent: same size" (Shrink.size shrunk) (Shrink.size again)
+  checki "idempotent: same size" (Shrink.size shrunk) (Shrink.size again);
+  (* max_evals bounds the checks; a spent budget stops at the input *)
+  let evals = ref 0 in
+  let counting t = incr evals; has_fence t in
+  let same, steps0 = Shrink.minimize ~max_evals:0 ~keeps_failing:counting t in
+  checki "no budget: no checks" 0 !evals;
+  checki "no budget: no steps" 0 steps0;
+  checkb "no budget: input returned" true (same == t);
+  let _, _ = Shrink.minimize ~max_evals:3 ~keeps_failing:counting t in
+  checki "budget of 3: exactly 3 checks" 3 !evals
 
 let test_shrink_keeps_cond_locations () =
   (* tests with a condition must never have locations merged away *)
@@ -482,21 +401,9 @@ let test_campaign_finds_injected_bug () =
 
 let suite =
   [
-    Alcotest.test_case "pbt: finds and shrinks" `Quick test_pbt_finds_and_shrinks;
-    Alcotest.test_case "pbt: deterministic in seed" `Quick test_pbt_deterministic;
-    Alcotest.test_case "pbt: exception is a failure" `Quick
-      test_pbt_exception_is_failure;
-    Alcotest.test_case "pbt: minimize is idempotent" `Quick
-      test_pbt_minimize_idempotent;
-    Alcotest.test_case "pbt: list shrinking" `Quick test_pbt_list_shrink;
-    Alcotest.test_case "pbt: rejects bad combinator args" `Quick
-      test_pbt_bad_params;
-    Alcotest.test_case "util: ring buffer vs list model" `Quick
-      test_ring_buffer_model;
-    Alcotest.test_case "util: pqueue ordering" `Quick test_pqueue_ordering;
-    Alcotest.test_case "util: bitset vs bool array" `Quick test_bitset_model;
-    Alcotest.test_case "util: percentile monotone" `Quick
-      test_stats_percentile_monotone;
+    qtest ~seed:23 prop_ring_buffer_model;
+    qtest ~seed:29 prop_pqueue_ordering;
+    qtest ~seed:31 prop_bitset_model;
     Alcotest.test_case "gen: parameter validation" `Quick test_gen_validate;
     Alcotest.test_case "shrink: candidates strictly decrease" `Quick
       test_shrink_candidates_decrease;

@@ -1,7 +1,9 @@
 open Ise_model
 
 let check = Alcotest.check
-let qtest = QCheck_alcotest.to_alcotest
+(* fixed seed: every run checks the same cases, and a failure replays *)
+let qtest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |]) t
 
 (* ------------------------------------------------------------------ *)
 (* Rel                                                                 *)

@@ -6,30 +6,33 @@
    identical observable behaviour.  cycle_witness is the one
    deliberately looser contract: any valid cycle is acceptable, so it
    is checked for validity against the relation, plus Some/None
-   agreement. *)
+   agreement.  Each size runs its QCheck property from its own fixed
+   seed. *)
 
 module Rel = Ise_model.Rel
 module Rel_ref = Ise_model.Rel_ref
-module Pbt = Ise_fuzz.Pbt
 
 let checkb = Alcotest.(check bool)
 
 let edges_gen n =
-  if n = 0 then Pbt.return []
+  if n = 0 then QCheck.Gen.return []
   else
-    Pbt.list_of ~max:(min 80 (2 * n * n))
-      (Pbt.pair (Pbt.int_range 0 (n - 1)) (Pbt.int_range 0 (n - 1)))
+    QCheck.Gen.(
+      list_size
+        (int_range 0 (min 80 (2 * n * n)))
+        (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))))
 
-let pp_edges fmt (n, es) =
-  Format.fprintf fmt "n=%d [%s]" n
+let print_edges (n, es) =
+  Printf.sprintf "n=%d [%s]" n
     (String.concat "; "
        (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) es))
 
+(* shrinking drops and shrinks edges; the size [n] stays fixed *)
 let arb n =
-  Pbt.make ~pp:pp_edges
+  QCheck.make ~print:print_edges
     ~shrink:(fun (n, es) ->
-      Seq.map (fun es -> (n, es)) (Pbt.shrink_list es))
-    (Pbt.map (fun es -> (n, es)) (edges_gen n))
+      QCheck.Iter.map (fun es -> (n, es)) (QCheck.Shrink.list es))
+    (QCheck.Gen.map (fun es -> (n, es)) (edges_gen n))
 
 (* both builds of the same edge list *)
 let build (n, es) = (Rel.of_list n es, Rel_ref.of_list n es)
@@ -110,34 +113,34 @@ let prop_binary (n, (es1, es2)) =
   true
 
 let arb2 n =
-  Pbt.make
-    ~pp:(fun fmt (n, (e1, e2)) ->
-      Format.fprintf fmt "%a / %a" pp_edges (n, e1) pp_edges (n, e2))
-    ~shrink:(fun (n, (e1, e2)) ->
-      Seq.map
-        (fun (e1, e2) -> (n, (e1, e2)))
-        (Pbt.shrink_pair Pbt.shrink_list Pbt.shrink_list (e1, e2)))
-    (Pbt.map (fun p -> (n, p)) (Pbt.pair (edges_gen n) (edges_gen n)))
+  QCheck.make
+    ~print:(fun (n, (e1, e2)) ->
+      print_edges (n, e1) ^ " / " ^ print_edges (n, e2))
+    ~shrink:(fun (n, p) ->
+      QCheck.Iter.map
+        (fun p -> (n, p))
+        (QCheck.Shrink.pair QCheck.Shrink.list QCheck.Shrink.list p))
+    (QCheck.Gen.map
+       (fun p -> (n, p))
+       (QCheck.Gen.pair (edges_gen n) (edges_gen n)))
 
 (* sizes straddling the packing boundary; counts kept small at the big
    sizes — the reference closure is O(n^3) per case *)
 let sizes = [ (0, 50); (1, 100); (5, 200); (64, 40); (65, 40) ]
 
-let test_unary () =
+let check_sizes ~seed ~name arb prop =
   List.iter
     (fun (n, count) ->
-      Pbt.check ~count ~seed:(0xABC + n)
-        ~name:(Printf.sprintf "rel unary n=%d" n)
-        (arb n) prop_agree)
+      QCheck.Test.check_exn
+        ~rand:(Random.State.make [| seed + n |])
+        (QCheck.Test.make ~count ~name:(Printf.sprintf "%s n=%d" name n)
+           (arb n) prop))
     sizes
 
+let test_unary () = check_sizes ~seed:0xABC ~name:"rel unary" arb prop_agree
+
 let test_binary () =
-  List.iter
-    (fun (n, count) ->
-      Pbt.check ~count ~seed:(0xDEF + n)
-        ~name:(Printf.sprintf "rel binary n=%d" n)
-        (arb2 n) prop_binary)
-    sizes
+  check_sizes ~seed:0xDEF ~name:"rel binary" arb2 prop_binary
 
 let test_mismatch_guard () =
   (* binary operations refuse mismatched sizes, as the seed did *)

@@ -1,7 +1,9 @@
 open Ise_sim
 
 let check = Alcotest.check
-let qtest = QCheck_alcotest.to_alcotest
+(* fixed seed: every run checks the same cases, and a failure replays *)
+let qtest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |]) t
 
 let base = Config.default.Config.einject_base
 
@@ -548,9 +550,7 @@ let prop_sb_model mode name =
 
 let sb_model_tests =
   List.map
-    (fun (mode, name) ->
-      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |])
-        (prop_sb_model mode name))
+    (fun (mode, name) -> qtest (prop_sb_model mode name))
     [ (Ise_model.Axiom.Pc, "sb agrees with the list model (PC)");
       (Ise_model.Axiom.Wc, "sb agrees with the list model (WC)") ]
 

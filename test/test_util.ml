@@ -1,7 +1,9 @@
 open Ise_util
 
 let check = Alcotest.check
-let qtest = QCheck_alcotest.to_alcotest
+(* fixed seed: every run checks the same cases, and a failure replays *)
+let qtest t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2023 |]) t
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -115,22 +117,34 @@ let test_ring_update_last () =
   check Alcotest.bool "updated" true updated;
   check (Alcotest.list Alcotest.int) "coalesced" [ 1; 20 ] (Ring_buffer.to_list rb)
 
-(* Wrap-around audit, as seeded properties on the repo's own Pbt core:
-   drive a ring far past its capacity in positions (so the mask wraps
-   many times) against a plain list model, across every capacity
-   including 1, and check the read-side API agrees with the model at
-   every step. *)
-let test_ring_pbt_wraparound () =
-  let arb =
-    Ise_fuzz.Pbt.make
-      ~shrink:(Ise_fuzz.Pbt.shrink_pair Ise_fuzz.Pbt.shrink_nothing
-                 (Ise_fuzz.Pbt.shrink_list ~elt:Ise_fuzz.Pbt.shrink_int))
-      (Ise_fuzz.Pbt.pair
-         (Ise_fuzz.Pbt.choose [ 1; 2; 4; 8 ])
-         (Ise_fuzz.Pbt.list_of ~max:200 (Ise_fuzz.Pbt.int_range 0 3)))
-  in
-  Ise_fuzz.Pbt.check ~count:200 ~seed:2023 ~name:"ring wrap-around vs model"
-    arb
+(* Wrap-around audit: drive a ring far past its capacity in positions
+   (so the mask wraps many times) against a plain list model, across
+   every capacity including 1, and check the read-side API agrees with
+   the model at every step — including the raise-on-full /
+   raise-on-empty and [clear] contract. *)
+type rop = RPush | RPop | RFind | RUpdate | RClear
+
+let pp_rop = function
+  | RPush -> "push"
+  | RPop -> "pop"
+  | RFind -> "find_last"
+  | RUpdate -> "update_last"
+  | RClear -> "clear"
+
+let prop_ring_wraparound =
+  QCheck.Test.make ~name:"ring pbt wrap-around model" ~count:200
+    (QCheck.make
+       ~print:(fun (capacity, ops) ->
+         Printf.sprintf "capacity %d: %s" capacity
+           (String.concat "; " (List.map pp_rop ops)))
+       ~shrink:(fun (capacity, ops) ->
+         QCheck.Iter.map (fun ops -> (capacity, ops)) (QCheck.Shrink.list ops))
+       QCheck.Gen.(
+         pair (oneofl [ 1; 2; 4; 8; 16 ])
+           (list_size (int_range 0 200)
+              (frequencyl
+                 [ (6, RPush); (5, RPop); (4, RFind); (4, RUpdate);
+                   (1, RClear) ]))))
     (fun (capacity, ops) ->
       let rb = Ring_buffer.create ~capacity in
       let model = ref [] in
@@ -138,6 +152,8 @@ let test_ring_pbt_wraparound () =
       let agrees () =
         Ring_buffer.to_list rb = !model
         && Ring_buffer.length rb = List.length !model
+        && Ring_buffer.is_empty rb = (!model = [])
+        && Ring_buffer.is_full rb = (List.length !model = capacity)
         && Ring_buffer.peek rb
            = (match !model with [] -> None | x :: _ -> Some x)
         && Ring_buffer.tail rb - Ring_buffer.head rb = List.length !model
@@ -149,17 +165,29 @@ let test_ring_pbt_wraparound () =
       List.for_all
         (fun op ->
           (match op with
-           | 0 when not (Ring_buffer.is_full rb) ->
+           | RPush ->
              incr counter;
-             Ring_buffer.push rb !counter;
-             model := !model @ [ !counter ]
-           | 1 when not (Ring_buffer.is_empty rb) ->
-             let v = Ring_buffer.pop rb in
-             (match !model with
-              | x :: rest when x = v -> model := rest
-              | _ -> failwith "pop disagrees with model")
-           | 2 -> ignore (Ring_buffer.find_last (fun v -> v land 1 = 0) rb)
-           | _ ->
+             if List.length !model < capacity then begin
+               Ring_buffer.push rb !counter;
+               model := !model @ [ !counter ]
+             end
+             else begin
+               match Ring_buffer.push rb !counter with
+               | () -> failwith "push on a full ring did not raise"
+               | exception Failure _ -> ()
+             end
+           | RPop -> (
+             match (Ring_buffer.pop rb, !model) with
+             | v, x :: rest when x = v -> model := rest
+             | _ -> failwith "pop disagrees with model"
+             | exception Failure _ ->
+               if !model <> [] then failwith "pop raised on a non-empty ring")
+           | RFind ->
+             if
+               Ring_buffer.find_last (fun v -> v land 1 = 0) rb
+               <> List.find_opt (fun v -> v land 1 = 0) (List.rev !model)
+             then failwith "find_last disagrees with model"
+           | RUpdate ->
              ignore
                (Ring_buffer.update_last
                   (fun v -> if v land 1 = 0 then Some (v + 1000) else None)
@@ -168,19 +196,16 @@ let test_ring_pbt_wraparound () =
                 match List.rev !model with
                 | x :: rest when x land 1 = 0 ->
                   List.rev ((x + 1000) :: rest)
-                | _ -> !model));
+                | _ -> !model)
+           | RClear ->
+             Ring_buffer.clear rb;
+             model := []);
           agrees ())
         ops)
 
-let test_ring_pbt_peek_at_window () =
-  let arb =
-    Ise_fuzz.Pbt.make
-      (Ise_fuzz.Pbt.pair
-         (Ise_fuzz.Pbt.int_range 0 40)
-         (Ise_fuzz.Pbt.int_range 0 50))
-  in
-  Ise_fuzz.Pbt.check ~count:200 ~seed:7 ~name:"peek_at only inside [head,tail)"
-    arb
+let prop_ring_peek_at_window =
+  QCheck.Test.make ~name:"ring pbt peek_at window" ~count:200
+    QCheck.(pair (int_range 0 40) (int_range 0 50))
     (fun (pops, probe) ->
       let rb = Ring_buffer.create ~capacity:8 in
       (* interleave pushes and pops so head advances [pops] times while
@@ -401,6 +426,21 @@ let test_stats_variance () =
   List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check (Alcotest.float 1e-6) "sample variance" 4.571428571 (Stats.variance s)
 
+let prop_stats_percentile_monotone =
+  QCheck.Test.make ~name:"percentile is monotone in p" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 50) (int_range (-100) 100))
+        (pair (int_range 0 100) (int_range 0 100)))
+    (fun (samples, (q1, q2)) ->
+      let s = Stats.create () in
+      List.iter (Stats.add_int s) samples;
+      let lo = float_of_int (min q1 q2) and hi = float_of_int (max q1 q2) in
+      let p_lo = Stats.percentile s lo and p_hi = Stats.percentile s hi in
+      p_lo <= p_hi
+      && Stats.min_value s <= Stats.percentile s 0.
+      && Stats.percentile s 100. <= Stats.max_value s)
+
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 
@@ -434,8 +474,8 @@ let suite =
     ("ring peek_at", `Quick, test_ring_peek_at);
     ("ring find_last", `Quick, test_ring_find_last);
     ("ring update_last", `Quick, test_ring_update_last);
-    ("ring pbt wrap-around model", `Quick, test_ring_pbt_wraparound);
-    ("ring pbt peek_at window", `Quick, test_ring_pbt_peek_at_window);
+    qtest prop_ring_wraparound;
+    qtest prop_ring_peek_at_window;
     ("ring create edge cases", `Quick, test_ring_create_edges);
     qtest prop_ring_model;
     qtest prop_wordset_model;
@@ -452,5 +492,6 @@ let suite =
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats merge", `Quick, test_stats_merge);
     ("stats variance", `Quick, test_stats_variance);
+    qtest prop_stats_percentile_monotone;
     ("table render", `Quick, test_table_render);
   ]
