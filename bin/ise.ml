@@ -1849,28 +1849,19 @@ let netchaos_profile_names () =
        (Ise_fabric.Netchaos.calm :: Ise_fabric.Netchaos.all))
 
 let fabric_worker_cmd =
-  let run socket proto quiet =
+  let run socket quiet =
     let log =
       if quiet then ignore
       else fun msg -> Printf.eprintf "[ise-fabric-worker] %s\n%!" msg
     in
     Ise_fabric.Worker.run
-      { (Ise_fabric.Worker.default_config ~socket_path:socket) with
-        proto;
-        log;
-      };
+      { (Ise_fabric.Worker.default_config ~socket_path:socket) with log };
     0
   in
   let socket_arg =
     Arg.(value & opt string ".ise-fabric-worker.sock"
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Unix domain socket this worker listens on.")
-  in
-  let proto_arg =
-    Arg.(value & opt int Ise_fabric.Wire.version
-         & info [ "proto" ] ~docv:"V"
-             ~doc:"Highest fabric protocol version to speak (compatibility \
-                   testing: 1 behaves like a pre-heartbeat worker).")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No lifecycle logging.")
@@ -1880,7 +1871,7 @@ let fabric_worker_cmd =
        ~doc:"Run a fabric worker daemon: checks campaign shard ranges for \
              a supervisor over a Unix socket in one process (run one \
              worker per core)")
-    Term.(const run $ socket_arg $ proto_arg $ quiet_arg)
+    Term.(const run $ socket_arg $ quiet_arg)
 
 let fabric_chaos_proxy_cmd =
   let run listen upstream seed profile quiet =
@@ -1978,17 +1969,17 @@ let render_status ?(clear = true) doc =
        (i "inline" c) (i "worker_losses" c) (i "rejoins" c) (i "pings" c)
        (i "hb_losses" c) (i "telemetry_frames" c));
   Buffer.add_string buf
-    (Printf.sprintf "%4s  %-8s  %5s  %8s  %6s  %5s  %s\n" "ID" "STATE"
-       "PROTO" "INFLIGHT" "DONE" "TELE" "PATH");
+    (Printf.sprintf "%4s  %-8s  %8s  %6s  %5s  %s\n" "ID" "STATE"
+       "INFLIGHT" "DONE" "TELE" "PATH");
   (match Option.bind (J.member "workers" doc) J.to_list with
    | None -> ()
    | Some ws ->
      List.iter
        (fun w ->
          Buffer.add_string buf
-           (Printf.sprintf "%4d  %-8s  %5d  %8d  %6d  %5d  %s\n" (i "id" w)
+           (Printf.sprintf "%4d  %-8s  %8d  %6d  %5d  %s\n" (i "id" w)
               (String.uppercase_ascii (s "state" w))
-              (i "proto" w) (i "inflight" w) (i "done" w)
+              (i "inflight" w) (i "done" w)
               (i "telemetry_frames" w) (s "path" w)))
        ws);
   Buffer.add_string buf
@@ -2043,7 +2034,7 @@ let fabric_run_cmd =
       exit 1
     end;
     (* the observability plane: any of --top/--status-out/--prom-out/
-       --trace-dir turns on v3 telemetry streaming.  --top owns the
+       --trace-dir turns on telemetry streaming.  --top owns the
        terminal, so it implies --quiet. *)
     let observing =
       top || status_out <> None || prom_out <> None || trace_dir <> None
@@ -2306,7 +2297,7 @@ let fabric_run_cmd =
          & info [ "top" ]
              ~doc:"Live campaign dashboard on stderr (refreshing table of \
                    per-worker state, throughput, ETA); implies --quiet and \
-                   v3 telemetry streaming.  Campaign stdout is unchanged.")
+                   telemetry streaming.  Campaign stdout is unchanged.")
   in
   let status_out_arg =
     Arg.(value & opt (some string) None

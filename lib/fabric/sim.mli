@@ -16,7 +16,6 @@ type t
 
 val start :
   ?log:(string -> unit) ->
-  ?proto:int ->
   ?netchaos:int * Netchaos.profile ->
   ?trace_dir:string ->
   dir:string ->
@@ -24,9 +23,7 @@ val start :
   unit ->
   t
 (** Fork [n] worker daemons listening on [dir/worker<k>.sock], each
-    one checking process speaking fabric versions up to [proto]
-    (default {!Wire.version}; pass 1 to simulate a fleet of old
-    workers).  With [netchaos = (seed, profile)], each worker
+    one checking process.  With [netchaos = (seed, profile)], each worker
     instead listens on [dir/worker<k>.real.sock] and a forked
     {!Netchaos.spawn} proxy serves [dir/worker<k>.sock] in front of
     it, seeded deterministically per worker ([seed + 7919·k]).  With

@@ -27,8 +27,8 @@ let default_liveness = {
    merges — the result path stays byte-identical with everything on. *)
 type observe = {
   stream : bool;
-      (* set [j_stream] on jobs to v3 workers and absorb their
-         Telemetry frames *)
+      (* set [j_stream] on jobs and absorb the workers' Telemetry
+         frames *)
   metrics : Ise_telemetry.Registry.t option;
       (* live aggregate sink for absorbed worker deltas + the
          supervisor's own fabric/* counters *)
@@ -108,7 +108,6 @@ type wstate = {
   w_id : int;
   w_path : string;
   w_fd : Unix.file_descr;
-  w_proto : int;  (* negotiated protocol for this connection *)
   mutable w_buf : Bytes.t;
   mutable w_len : int;
   mutable w_inflight : (int * float) list;  (* shard, dispatch time *)
@@ -170,7 +169,7 @@ let connect_worker cfg campaign ~retries id path =
         Stdlib.Error ("handshake read: " ^ Unix.error_message e)
     in
     (try
-       Wire.write_request ~proto:Wire.hello_proto fd
+       Wire.write_request fd
          (Wire.Hello
             { proto = Wire.version; git_rev = Ise_obs.Runinfo.git_rev () })
      with Unix.Unix_error _ | Sys_error _ -> ());
@@ -179,22 +178,21 @@ let connect_worker cfg campaign ~retries id path =
     | Stdlib.Ok (Wire.Error (kind, msg)) ->
       fail (Printf.sprintf "handshake rejected: %s (%s)"
               (Ise_serve.Framed.err_name kind) msg)
-    | Stdlib.Ok (Wire.Hello_ok { proto = wproto; pid; _ }) ->
-      let proto = min Wire.version wproto in
-      if proto < Wire.min_version then
-        fail (Printf.sprintf "worker speaks unsupported protocol v%d" wproto)
+    | Stdlib.Ok (Wire.Hello_ok { proto; pid; _ }) ->
+      if proto <> Wire.version then
+        fail (Printf.sprintf "worker speaks unsupported protocol v%d" proto)
       else begin
-        (try Wire.write_request ~proto fd (Wire.Set_spec campaign)
+        (try Wire.write_request fd (Wire.Set_spec campaign)
          with Unix.Unix_error _ | Sys_error _ -> ());
         let rec await_spec_ok skips =
           match read_hs () with
           | Stdlib.Ok Wire.Spec_ok ->
             set_handshake_timeout fd 0.;
             cfg.log
-              (Printf.sprintf "worker %d (%s): connected, pid %d, proto v%d"
-                 id path pid proto);
+              (Printf.sprintf "worker %d (%s): connected, pid %d" id path
+                 pid);
             Some
-              { w_id = id; w_path = path; w_fd = fd; w_proto = proto;
+              { w_id = id; w_path = path; w_fd = fd;
                 w_buf = Bytes.create 65536; w_len = 0; w_inflight = [];
                 w_dead = false; w_hb_out = 0; w_last_ping = 0.;
                 w_refreshes = 0; w_done = 0; w_draining = false;
@@ -367,10 +365,9 @@ let run cfg campaign =
        it, so a stitched timeline shows exactly which attempt won *)
     let span_id = Printf.sprintf "d-%d-%d-w%d" sh attempts.(sh) w.w_id in
     let j_ctx =
-      if obs.trace <> None && w.w_proto >= 3 then Some (obs.trace_id, span_id)
-      else None
+      if obs.trace <> None then Some (obs.trace_id, span_id) else None
     in
-    let j_stream = obs.stream && w.w_proto >= 3 in
+    let j_stream = obs.stream in
     (* the span must begin BEFORE the frame hits the socket: the
        worker's "receive" instant is the stitcher's clock anchor, and
        it must never precede its dispatch anchor on a shared clock *)
@@ -389,7 +386,7 @@ let run cfg campaign =
          ~name:(dspan_name sh) ~tid:w.w_id (now_us ())
      | None -> ());
     match
-      Wire.write_request ~proto:w.w_proto w.w_fd
+      Wire.write_request w.w_fd
         (Wire.Run { j_shard = sh; j_lo = lo; j_hi = hi; j_ctx; j_stream })
     with
     | () ->
@@ -444,8 +441,8 @@ let run cfg campaign =
       let sh = sr.Wire.sr_shard in
       if sh < 0 || sh >= nshards then worker_lost w "bogus shard id"
       else if ranges.(sh) <> (sr.Wire.sr_lo, sr.Wire.sr_hi) then
-        (* a corrupted-but-decodable Run can only have come from a v1
-           (digest-free) connection; the echoed range exposes it *)
+        (* sealed payloads rule out wire corruption, so a mismatched
+           echo means a confused worker: never merge its result *)
         worker_lost w
           (Printf.sprintf "shard %d result range [%d, %d) does not match"
              sh sr.Wire.sr_lo sr.Wire.sr_hi)
@@ -525,11 +522,10 @@ let run cfg campaign =
         | Codec.Frame { payload; proto; consumed } ->
           Bytes.blit w.w_buf consumed w.w_buf 0 (w.w_len - consumed);
           w.w_len <- w.w_len - consumed;
-          if proto < Wire.min_version || proto > Wire.version then
+          if proto <> Wire.version then
             worker_lost w (Printf.sprintf "bad protocol byte %d" proto)
           else begin
-            match (Wire.decode_payload ~proto payload : Wire.response option)
-            with
+            match (Codec.unseal payload : Wire.response option) with
             | Some resp ->
               w.w_refreshes <- 0;
               handle_response w resp
@@ -636,10 +632,10 @@ let run cfg campaign =
       let now = Unix.gettimeofday () in
       List.iter
         (fun w ->
-          (* ping only idle v2 workers: a worker crunching a shard is
+          (* ping only idle workers: a worker crunching a shard is
              single-threaded and legitimately silent — in-flight work
              is policed by dispatch_timeout_s instead *)
-          if (not w.w_dead) && w.w_proto >= 2 && w.w_inflight = [] then begin
+          if (not w.w_dead) && w.w_inflight = [] then begin
             if w.w_hb_out > lv.miss_budget then begin
               incr hb_losses;
               worker_lost w
@@ -648,7 +644,7 @@ let run cfg campaign =
             end
             else if now -. w.w_last_ping >= lv.heartbeat_s then begin
               match
-                Wire.write_request ~proto:w.w_proto w.w_fd (Wire.Ping !pings)
+                Wire.write_request w.w_fd (Wire.Ping !pings)
               with
               | () ->
                 incr pings;
@@ -718,7 +714,7 @@ let run cfg campaign =
       in
       J.Obj
         [ ("id", J.Int w.w_id); ("path", J.String w.w_path);
-          ("proto", J.Int w.w_proto); ("state", J.String state);
+          ("state", J.String state);
           ("inflight", J.Int (List.length w.w_inflight));
           ("done", J.Int w.w_done);
           ("telemetry_frames", J.Int w.w_tele) ]

@@ -10,17 +10,17 @@
     {!Ise_fabric.Netchaos.Mutate} can produce decodes to a typed
     error, an error frame, or a clean close.
 
-    Protocol: the worker speaks fabric versions
-    [{!Wire.min_version}..proto].  A Hello advertising a lower version
-    negotiates the connection down (so a v2 worker still serves a v1
-    supervisor); [proto = 1] in the config caps the worker at v1 —
-    tests use it to {e be} the old worker.  {!Wire.Ping} is answered
-    with {!Wire.Pong} only on connections negotiated at ≥ 2.  On
-    connections negotiated at ≥ 3, a job with [j_stream] set switches
-    the worker into streaming mode: after every Shard_done (and after
-    every Pong while idle) it sends one {!Wire.Telemetry} frame
-    carrying the delta of its metrics registry since the previous
-    drain — shards done, shard wall-clock histogram and pings.
+    Protocol: the worker speaks exactly {!Wire.version}.  A Hello of
+    any other version is refused with [Unsupported_proto], and every
+    request payload is {!Ise_pool.Codec.unseal}ed, so a payload that
+    fails its digest or its structural check is a [Malformed_frame]
+    error rather than a crash (a well-formed value of the wrong type
+    is not detected; see {!Ise_pool.Codec}).  {!Wire.Ping} is answered with {!Wire.Pong}.
+    A job with [j_stream] set switches the worker into streaming
+    mode: after every Shard_done (and after every Pong while idle) it
+    sends one {!Wire.Telemetry} frame carrying the delta of its
+    metrics registry since the previous drain — shards done, shard
+    wall-clock histogram and pings.
 
     Work model: {!Wire.Set_spec} installs the campaign — fuzz
     ({!Ise_fuzz.Campaign.check_range}) or chaos
@@ -38,7 +38,6 @@
 
 type config = {
   socket_path : string;
-  proto : int;  (** highest fabric version to speak (tests set 1) *)
   max_payload : int;
   trace_out : string option;
       (** Chrome trace file for this worker's shard spans (wall-clock
@@ -46,12 +45,12 @@ type config = {
           a SIGKILLed worker still leaves its last-completed-shard
           trace for [ise trace stitch].  Spans are only emitted for
           jobs that carry a {!Wire.job.j_ctx}, so the file stays an
-          empty skeleton unless a v3 supervisor traces the campaign *)
+          empty skeleton unless the supervisor traces the campaign *)
   log : string -> unit;
 }
 
 val default_config : socket_path:string -> config
-(** [proto = Wire.version], 64 MiB max payload, no trace file, silent. *)
+(** 64 MiB max payload, no trace file, silent. *)
 
 type t
 

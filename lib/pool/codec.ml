@@ -1,8 +1,6 @@
 let magic = "ISEP"
 let version = 2
-let min_version = 1
 let header_bytes = 10
-let header_bytes_v1 = 9
 let default_max_payload = 64 * 1024 * 1024
 
 type error =
@@ -14,52 +12,34 @@ type error =
 let error_to_string = function
   | Bad_magic -> "bad magic bytes (stream desynchronised?)"
   | Unsupported_version v ->
-    Printf.sprintf
-      "unsupported frame version %d (from a newer writer? this reader \
-       handles %d..%d)"
-      v min_version version
+    Printf.sprintf "unsupported frame version %d (this reader handles %d)" v
+      version
   | Oversized n -> Printf.sprintf "claimed payload of %d bytes exceeds the cap" n
   | Truncated -> "stream ended inside a frame"
 
-(* v1 layout: magic(4) version(1) len(4); no protocol byte — decoded
-   with proto = 0.  v2 layout: magic(4) version(1) proto(1) len(4).
-   The version byte alone selects the layout, so a v1 reader facing a
-   v2 frame rejects it at the version byte instead of mis-parsing the
-   protocol byte as part of the length. *)
+(* Layout: magic(4) version(1) proto(1) len(4).  The version byte is
+   checked before any later field is read, so a frame of another
+   layout is rejected at that byte instead of being mis-parsed. *)
 
-let encode ?(proto = 0) ?(version = version) payload =
+let encode ?(proto = 0) payload =
   if proto < 0 || proto > 0xff then invalid_arg "Codec.encode: bad proto";
   let n = String.length payload in
-  let put_len b off =
-    Bytes.set b off (Char.chr ((n lsr 24) land 0xff));
-    Bytes.set b (off + 1) (Char.chr ((n lsr 16) land 0xff));
-    Bytes.set b (off + 2) (Char.chr ((n lsr 8) land 0xff));
-    Bytes.set b (off + 3) (Char.chr (n land 0xff))
-  in
-  match version with
-  | 1 ->
-    if proto <> 0 then
-      invalid_arg "Codec.encode: v1 frames cannot carry a protocol version";
-    let b = Bytes.create (header_bytes_v1 + n) in
-    Bytes.blit_string magic 0 b 0 4;
-    Bytes.set b 4 '\001';
-    put_len b 5;
-    Bytes.blit_string payload 0 b header_bytes_v1 n;
-    Bytes.unsafe_to_string b
-  | 2 ->
-    let b = Bytes.create (header_bytes + n) in
-    Bytes.blit_string magic 0 b 0 4;
-    Bytes.set b 4 '\002';
-    Bytes.set b 5 (Char.chr proto);
-    put_len b 6;
-    Bytes.blit_string payload 0 b header_bytes n;
-    Bytes.unsafe_to_string b
-  | v -> invalid_arg (Printf.sprintf "Codec.encode: cannot write version %d" v)
+  let b = Bytes.create (header_bytes + n) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set b 4 (Char.chr version);
+  Bytes.set b 5 (Char.chr proto);
+  Bytes.set_int32_be b 6 (Int32.of_int n);
+  Bytes.blit_string payload 0 b header_bytes n;
+  Bytes.unsafe_to_string b
 
 type decoded =
   | Frame of { payload : string; proto : int; consumed : int }
   | Need_more
   | Corrupt of error
+
+let payload_len buf ~pos =
+  let byte i = Char.code (Bytes.get buf (pos + i)) in
+  (byte 6 lsl 24) lor (byte 7 lsl 16) lor (byte 8 lsl 8) lor byte 9
 
 (* Validate as much of the header as is present, so corruption is
    reported from the first bad byte rather than after buffering a
@@ -72,27 +52,18 @@ let decode ?(max_payload = default_max_payload) buf ~pos ~len =
   if not (magic_ok 0) then Corrupt Bad_magic
   else if len < 5 then Need_more
   else
-    let byte i = Char.code (Bytes.get buf (pos + i)) in
-    let v = byte 4 in
-    if v < min_version || v > version then Corrupt (Unsupported_version v)
+    let v = Char.code (Bytes.get buf (pos + 4)) in
+    if v <> version then Corrupt (Unsupported_version v)
+    else if len < header_bytes then Need_more
     else
-      let hdr, proto_of = if v = 1 then (header_bytes_v1, fun () -> 0)
-        else (header_bytes, fun () -> byte 5)
-      in
-      if len < hdr then Need_more
+      let n = payload_len buf ~pos in
+      if n > max_payload then Corrupt (Oversized n)
+      else if len < header_bytes + n then Need_more
       else
-        let l0 = hdr - 4 in
-        let n =
-          (byte l0 lsl 24) lor (byte (l0 + 1) lsl 16) lor (byte (l0 + 2) lsl 8)
-          lor byte (l0 + 3)
-        in
-        if n > max_payload then Corrupt (Oversized n)
-        else if len < hdr + n then Need_more
-        else
-          Frame
-            { payload = Bytes.sub_string buf (pos + hdr) n;
-              proto = proto_of ();
-              consumed = hdr + n }
+        Frame
+          { payload = Bytes.sub_string buf (pos + header_bytes) n;
+            proto = Char.code (Bytes.get buf (pos + 5));
+            consumed = header_bytes + n }
 
 let write_frame ?proto fd payload =
   let msg = encode ?proto payload in
@@ -114,36 +85,31 @@ let read_exactly fd buf ~pos n =
   !off
 
 let read_frame_ext ?(max_payload = default_max_payload) fd =
-  (* up to the version byte the two layouts agree; the version byte
-     then says how much more header to fetch *)
+  (* read up to the version byte first: a frame of another version
+     is refused there, without waiting for header bytes it may not
+     have *)
   let hdr = Bytes.create header_bytes in
   match read_exactly fd hdr ~pos:0 5 with
   | 0 -> Error `Eof
   | k when k < 5 -> Error (`Corrupt Truncated)
-  | _ ->
-    let v = Char.code (Bytes.get hdr 4) in
-    let full =
-      if v >= min_version && v <= version then
-        if v = 1 then header_bytes_v1 else header_bytes
-      else 5 (* rejected below by decode on the prefix *)
-    in
-    if read_exactly fd hdr ~pos:5 (full - 5) < full - 5 then
-      Error (`Corrupt Truncated)
-    else (
-      match decode ~max_payload hdr ~pos:0 ~len:full with
-      | Corrupt e -> Error (`Corrupt e)
-      | Frame { payload; proto; _ } ->
-        Ok (proto, payload) (* only possible for empty payloads *)
-      | Need_more ->
-        let byte i = Char.code (Bytes.get hdr i) in
-        let l0 = full - 4 in
-        let n =
-          (byte l0 lsl 24) lor (byte (l0 + 1) lsl 16) lor (byte (l0 + 2) lsl 8)
-          lor byte (l0 + 3)
-        in
-        let payload = Bytes.create n in
-        if read_exactly fd payload ~pos:0 n < n then Error (`Corrupt Truncated)
-        else Ok ((if v = 1 then 0 else byte 5), Bytes.unsafe_to_string payload))
+  | _ -> (
+    match decode ~max_payload hdr ~pos:0 ~len:5 with
+    | Corrupt e -> Error (`Corrupt e)
+    | Frame _ | Need_more ->
+      if read_exactly fd hdr ~pos:5 (header_bytes - 5) < header_bytes - 5
+      then Error (`Corrupt Truncated)
+      else (
+        match decode ~max_payload hdr ~pos:0 ~len:header_bytes with
+        | Corrupt e -> Error (`Corrupt e)
+        | Frame { payload; proto; _ } ->
+          Ok (proto, payload) (* only possible for empty payloads *)
+        | Need_more ->
+          let n = payload_len hdr ~pos:0 in
+          let payload = Bytes.create n in
+          if read_exactly fd payload ~pos:0 n < n then
+            Error (`Corrupt Truncated)
+          else
+            Ok (Char.code (Bytes.get hdr 5), Bytes.unsafe_to_string payload)))
 
 let read_frame ?max_payload fd =
   match read_frame_ext ?max_payload fd with
@@ -167,8 +133,8 @@ let unmarshal s = Marshal.from_string s 0
    passes cannot make intern read outside the buffer, index outside the
    object table, or allocate more than the header promised.  Type
    confusion within a structurally valid stream is still possible —
-   integrity needs a checksum envelope on top (the fabric wire seals v2
-   payloads) — but decode becomes total: corrupt bytes yield [None],
+   integrity needs the checksum envelope of [seal] on top — but decode
+   becomes total: corrupt bytes yield [None],
    never a crash.
 
    Opcodes never produced for this codec's payloads (closures, custom
@@ -258,3 +224,40 @@ let valid_marshal s =
 let unmarshal_opt s =
   if not (valid_marshal s) then None
   else match unmarshal s with v -> Some v | exception _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* the sealed envelope of every socket payload                         *)
+
+(* A leading MD5 of the marshalled value: Marshal has no integrity
+   check of its own, and a wire-corrupted payload that still
+   unmarshals (flipped bytes inside an int field) would silently
+   poison a merge or a cached result.  The digest makes corruption in
+   transit a typed decode failure; the structural validator behind it
+   makes a well-digested but malformed stream one too.  Neither checks
+   the type of a well-formed value: peers are the same image. *)
+
+let seal v =
+  let m = marshal v in
+  Digest.string m ^ m
+
+let unseal s =
+  if String.length s < 16 then None
+  else
+    let body = String.sub s 16 (String.length s - 16) in
+    if not (String.equal (Digest.string body) (String.sub s 0 16)) then None
+    else unmarshal_opt body
+
+let write_sealed ~proto fd v = write_frame ~proto fd (seal v)
+
+let read_sealed ?max_payload ~proto ~peer fd =
+  match read_frame_ext ?max_payload fd with
+  | Error `Eof -> Error ("connection closed by " ^ peer)
+  | Error (`Corrupt e) -> Error ("corrupt frame: " ^ error_to_string e)
+  | Ok (got, _) when got <> proto ->
+    Error
+      (Printf.sprintf "protocol mismatch: %s speaks v%d, we speak v%d" peer
+         got proto)
+  | Ok (_, payload) -> (
+    match unseal payload with
+    | Some v -> Ok v
+    | None -> Error "undecodable payload")

@@ -1,45 +1,45 @@
-(** Versioned, length-prefixed message framing for pipe and socket IPC.
+(** Length-prefixed message framing for pipe and socket IPC, and the
+    sealed payload envelope of every socket message.
 
     Every message exchanged between the pool supervisor and its forked
-    workers — and between the {!Ise_serve} daemon and its clients — is
-    one {e frame}: a fixed header — 4 magic bytes (["ISEP"]), 1
-    frame-format version byte, 1 protocol byte (v2), 4 big-endian
-    payload-length bytes — followed by the payload.  The header makes
-    stream desynchronisation (a worker writing garbage, a partial
-    write cut off by a kill) detectable instead of silently corrupting
-    the next message; the format version byte lets the framing layout
-    evolve without ambiguity, and the protocol byte carries the {e
-    application} protocol version so endpoints can negotiate before
-    interpreting payloads.
+    workers — and between the socket daemons ({!Ise_serve} and the
+    fabric) and their peers — is one {e frame}: a fixed 10-byte header
+    — 4 magic bytes (["ISEP"]), 1 frame-format version byte, 1
+    protocol byte, 4 big-endian payload-length bytes — followed by the
+    payload.  The header makes stream desynchronisation (a worker
+    writing garbage, a partial write cut off by a kill) detectable
+    instead of silently corrupting the next message.  The protocol
+    byte carries the {e application} protocol version; each socket
+    protocol accepts exactly its own.
 
-    Compatibility rules:
+    There is one frame layout: a frame whose version byte is not
+    {!version} is rejected with [Unsupported_version] at that byte,
+    before any layout-dependent field is read.
 
-    - this reader accepts frames of every version in
-      [{!min_version}..{!version}] — a v1 frame (9-byte header, no
-      protocol byte) decodes with [proto = 0];
-    - a frame from a {e newer} writer is rejected with
-      [Unsupported_version], never mis-decoded: the version byte is
-      validated before any layout-dependent field is read, so a v1
-      reader facing a v2 frame fails at the version byte instead of
-      parsing the protocol byte as payload length.
+    Payloads come in two kinds:
 
-    The payload is an opaque string; {!marshal}/{!unmarshal} are the
-    convenience pair the pool uses to move OCaml values through it
-    (safe here because supervisor and workers are the same executable
-    image — workers are forks, never execs). *)
+    - pool pipes carry bare {!marshal}/{!unmarshal} — safe because
+      supervisor and workers are forks of one executable image, never
+      input from outside the process;
+    - sockets carry {!seal}ed payloads ({!write_sealed},
+      {!read_sealed}): an MD5 digest of the marshalled value, then the
+      value.  {!unseal} checks the digest {e and} the structure of the
+      marshal stream, so a corrupted or malformed payload is a typed
+      decode failure rather than a crash of its reader.
+
+    What no envelope can check is the {e type}: a structurally valid
+    stream of some other value, behind a digest its sender computed,
+    still decodes as the caller's type.  Socket peers are therefore
+    assumed to be the same executable image — the protocol byte and
+    the [Hello] refuse an honest peer of another protocol or version —
+    and a peer that deliberately sends well-formed values of the wrong
+    type is outside this codec's threat model. *)
 
 val version : int
-(** Current frame-format version (written into every header by
-    default). *)
-
-val min_version : int
-(** Oldest frame-format version this reader still decodes. *)
+(** The frame-format version (2), written into every header. *)
 
 val header_bytes : int
-(** Size of the current fixed frame header (10). *)
-
-val header_bytes_v1 : int
-(** Size of the legacy v1 header (9), for compatibility tests. *)
+(** Size of the fixed frame header (10). *)
 
 val default_max_payload : int
 (** Default refusal threshold for claimed payload sizes (64 MiB); a
@@ -51,8 +51,8 @@ val default_max_payload : int
 type error =
   | Bad_magic  (** header does not start with the magic bytes *)
   | Unsupported_version of int
-      (** recognised magic, but a frame-format version outside
-          [min_version..version] — typically a newer writer *)
+      (** recognised magic, but a frame-format version other than
+          {!version} *)
   | Oversized of int  (** claimed payload length exceeds the cap *)
   | Truncated  (** stream ended inside a frame *)
 
@@ -60,12 +60,10 @@ val error_to_string : error -> string
 
 (** {1 Encoding} *)
 
-val encode : ?proto:int -> ?version:int -> string -> string
+val encode : ?proto:int -> string -> string
 (** [encode payload] is the framed message (header ^ payload).
-    [proto] (default 0, range 0..255) is the application-protocol byte
-    carried by v2 frames.  [version] (default {!version}) selects the
-    header layout for compatibility testing; writing a v1 frame with a
-    non-zero [proto] is an [Invalid_argument]. *)
+    [proto] (default 0, range 0..255) is the application-protocol
+    byte. *)
 
 (** {1 Streaming decode}
 
@@ -74,8 +72,8 @@ val encode : ?proto:int -> ?version:int -> string -> string
 
 type decoded =
   | Frame of { payload : string; proto : int; consumed : int }
-      (** payload, application-protocol byte (0 for v1 frames), and
-          total bytes consumed (header + payload) *)
+      (** payload, application-protocol byte, and total bytes
+          consumed (header + payload) *)
   | Need_more  (** a valid prefix, but the frame is incomplete *)
   | Corrupt of error
 
@@ -109,7 +107,7 @@ val read_frame_ext :
 val marshal : 'a -> string
 val unmarshal : string -> 'a
 (** [unmarshal] trusts the payload — only use on frames produced by
-    [marshal] in the same executable image. *)
+    [marshal] in the same executable image (the pool's pipes). *)
 
 val valid_marshal : string -> bool
 (** Structural validation of a marshal stream without decoding it.
@@ -124,5 +122,34 @@ val unmarshal_opt : string -> 'a option
 (** Crash-safe [unmarshal] for untrusted bytes: [None] unless the
     stream passes {!valid_marshal} and decodes cleanly.  Structural
     validity is not integrity — a corrupted stream can still decode to
-    a wrong value of the right shape; layer a checksum on top when that
-    matters (the fabric wire seals v2 payloads with an MD5 digest). *)
+    a wrong value of the right shape; {!seal} layers a checksum on
+    top. *)
+
+(** {1 Sealed socket payloads} *)
+
+val seal : 'a -> string
+(** MD5 of the marshalled value, then the marshalled value.  Any
+    corruption of a sealed payload decodes as [None] rather than as a
+    plausible wrong value. *)
+
+val unseal : string -> 'a option
+(** [None] unless the digest matches {e and} the marshal stream passes
+    {!unmarshal_opt} — a digest is no defence against a peer that
+    computes it over a malformed stream, so the structural check runs
+    too.  Never raises, and a malformed stream never reaches
+    [Marshal.from_string]; a well-formed stream of another type still
+    decodes (see the threat model above). *)
+
+val write_sealed : proto:int -> Unix.file_descr -> 'a -> unit
+(** [write_frame ~proto fd (seal v)]. *)
+
+val read_sealed :
+  ?max_payload:int ->
+  proto:int ->
+  peer:string ->
+  Unix.file_descr ->
+  ('a, string) result
+(** Blocking read of one sealed frame.  [Error] describes EOF, framing
+    corruption, a protocol byte other than [proto], or a payload that
+    does not {!unseal}; [peer] names the other end in those messages
+    (["daemon"], ["worker"]). *)

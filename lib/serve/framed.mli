@@ -8,9 +8,11 @@
     mapping for everything that can go wrong {e below} the payload —
     oversized frames, unknown Codec versions, garbage bytes, and
     protocol-byte mismatches.  The caller supplies only the payload
-    layer: how to decode a request, how to render a typed error frame,
-    and what a Hello means ({!hello_done}/{!mark_hello} carry the
-    "first request must be Hello" state).
+    layer: how to decode a request (every socket payload is
+    {!Ise_pool.Codec.seal}ed, so that is {!Ise_pool.Codec.unseal}),
+    how to render a typed error frame, and what a Hello means
+    ({!hello_done}/{!mark_hello} carry the "first request must be
+    Hello" state).
 
     The error callback owns the response: it must send its protocol's
     typed error frame and close the connection (via {!close_conn}), so
@@ -44,19 +46,6 @@ val hello_done : conn -> bool
 
 val mark_hello : conn -> unit
 
-val proto : conn -> int
-(** The connection's negotiated protocol version.  Starts at the
-    server's [proto]; a protocol that negotiates down during its Hello
-    records the agreed version with {!set_proto} and renders every
-    later response at that version. *)
-
-val set_proto : conn -> int -> unit
-
-val frame_proto : conn -> int
-(** Protocol byte of the frame currently being delivered to the
-    [request] callback — self-describing payload encodings (a v1 peer
-    and a v2 peer marshal differently) dispatch on this. *)
-
 (** {1 The server} *)
 
 type t
@@ -83,7 +72,6 @@ val install_signal_handlers : t -> unit
 val close_conn : t -> conn -> unit
 
 val serve :
-  ?min_proto:int ->
   ?tick:(unit -> unit) ->
   t ->
   proto:int ->
@@ -93,13 +81,13 @@ val serve :
   on_drained:(unit -> unit) ->
   unit
 (** Run the select loop until {!request_drain}.  Inbound frames must
-    carry a Codec protocol byte in [[min_proto, proto]] (default:
-    exactly [proto]) — the range is what lets a daemon keep speaking
-    to older peers; {!frame_proto} exposes each frame's byte to the
-    handler.  [max_payload] bounds one frame.  [request conn payload]
-    receives each well-framed payload (still marshalled — the caller
-    decodes, and reports its own decode failures through its error
-    path); [error conn kind msg] receives every framing-layer failure.
+    carry exactly [proto] in their Codec protocol byte: a daemon
+    speaks one protocol version, and any other byte is answered with
+    [Unsupported_proto].  [max_payload] bounds one frame.
+    [request conn payload] receives each well-framed payload (still
+    sealed — the caller decodes, and reports its own decode failures
+    through its error path); [error conn kind msg] receives every
+    framing-layer failure.
     [tick] runs once per loop iteration (at least every second) — the
     heartbeat/housekeeping hook.  On drain: every connection is
     closed, [on_drained] runs (close pools, log), then the listening

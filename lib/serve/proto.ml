@@ -1,10 +1,15 @@
 open Ise_litmus
 
-(* v2 adds Metrics_req / Metrics (Prometheus text exposition).  The
-   handshake is strict equality, and daemon and client ship in the
-   same executable image, so the bump is safe: there is no mixed-
-   version serve deployment to stay compatible with. *)
-let version = 2
+(* v2 added Metrics_req / Metrics (Prometheus text exposition); v4
+   seals every payload (Codec.seal).  The handshake is strict
+   equality, and daemon and client ship in the same executable image,
+   so a bump is safe: there is no mixed-version serve deployment to
+   stay compatible with.  v3 is skipped because it is the fabric's
+   [Wire.version]: both protocols use the same frame layout, envelope
+   and Hello shape, so the protocol byte is all that tells a serve
+   frame from a fabric one, and the two versions must never be
+   equal. *)
+let version = 4
 let store_abi = Cache.store_abi
 
 (* ------------------------------------------------------------------ *)
@@ -75,18 +80,14 @@ type litmus_payload = { lp_line : string; lp_pass : bool }
 let litmus_payload_to_string (p : litmus_payload) =
   Ise_pool.Codec.marshal p
 
-let litmus_payload_of_string s =
-  match (Ise_pool.Codec.unmarshal s : litmus_payload) with
-  | p -> Some p
-  | exception _ -> None
+let litmus_payload_of_string s : litmus_payload option =
+  Ise_pool.Codec.unmarshal_opt s
 
 let replay_payload_to_string (r : (unit, string) result) =
   Ise_pool.Codec.marshal r
 
-let replay_payload_of_string s =
-  match (Ise_pool.Codec.unmarshal s : (unit, string) result) with
-  | r -> Some r
-  | exception _ -> None
+let replay_payload_of_string s : (unit, string) result option =
+  Ise_pool.Codec.unmarshal_opt s
 
 (* ------------------------------------------------------------------ *)
 (* messages                                                            *)
@@ -144,24 +145,10 @@ type response =
 (* framed I/O                                                          *)
 
 let write_request fd (req : request) =
-  Ise_pool.Codec.write_frame ~proto:version fd (Ise_pool.Codec.marshal req)
+  Ise_pool.Codec.write_sealed ~proto:version fd req
 
 let write_response fd (resp : response) =
-  Ise_pool.Codec.write_frame ~proto:version fd (Ise_pool.Codec.marshal resp)
+  Ise_pool.Codec.write_sealed ~proto:version fd resp
 
-let read_response ?max_payload fd =
-  match Ise_pool.Codec.read_frame_ext ?max_payload fd with
-  | Stdlib.Error `Eof -> Stdlib.Error "connection closed by daemon"
-  | Stdlib.Error (`Corrupt e) ->
-    Stdlib.Error
-      ("corrupt response frame: " ^ Ise_pool.Codec.error_to_string e)
-  | Stdlib.Ok (proto, payload) ->
-    if proto <> version then
-      Stdlib.Error
-        (Printf.sprintf "protocol mismatch: daemon speaks v%d, we speak v%d"
-           proto version)
-    else begin
-      match (Ise_pool.Codec.unmarshal payload : response) with
-      | resp -> Stdlib.Ok resp
-      | exception _ -> Stdlib.Error "undecodable response payload"
-    end
+let read_response ?max_payload fd : (response, string) result =
+  Ise_pool.Codec.read_sealed ?max_payload ~proto:version ~peer:"daemon" fd

@@ -1,18 +1,22 @@
 (** The serve wire protocol: request/response payloads and cache keys.
 
-    Frames are {!Ise_pool.Codec} v2 frames whose protocol byte carries
-    {!version}; payloads are [Marshal]ed values of the types below —
-    safe for the same reason the pool's pipes are: daemon and client
-    are the same [ise] executable image.  Two guards keep that
-    assumption honest:
+    Frames are {!Ise_pool.Codec} frames whose protocol byte carries
+    {!version}; payloads are {!Ise_pool.Codec.seal}ed values of the
+    types below — [Marshal]ed, because daemon and client are the same
+    [ise] executable image.  Three guards keep that assumption honest:
 
     - the Codec protocol byte is checked on {e every} frame before the
-      payload is unmarshalled, so a frame from an incompatible peer is
+      payload is decoded, so a frame from an incompatible peer is
       answered with a typed {!err_kind} frame, never mis-decoded;
+    - every payload goes through {!Ise_pool.Codec.unseal} — digest,
+      then structural validation of the marshal stream — so a
+      corrupted or malformed payload is a [Malformed_frame] error,
+      not a crash of the daemon (a well-formed value of another type
+      is not detected: peers are the same image, see
+      {!Ise_pool.Codec});
     - the first request on a connection must be {!Hello}, carrying the
-      client's protocol version and git revision; the daemon rejects a
-      version mismatch with [Unsupported_proto] before any payload of
-      a newer shape could reach [Marshal].
+      client's protocol version and git revision; the daemon rejects
+      any version but its own with [Unsupported_proto].
 
     Cache keys pair {!Ise_litmus.Lit_test.fingerprint} (what program)
     with a configuration fingerprint (how it was run): machine
@@ -29,8 +33,11 @@
 open Ise_litmus
 
 val version : int
-(** Application-protocol version, carried in the Codec protocol byte
-    and in {!Hello}. *)
+(** Application-protocol version (4), carried in the Codec protocol
+    byte and in {!Hello}.  It never equals the fabric's
+    [Ise_fabric.Wire.version]: the two protocols share frame layout,
+    envelope and Hello shape, so the protocol byte is what refuses a
+    client that dialled the wrong kind of socket. *)
 
 val store_abi : int
 (** Result-store compatibility epoch (see above for the bump rule). *)
@@ -72,8 +79,9 @@ type litmus_payload = { lp_line : string; lp_pass : bool }
 
 val litmus_payload_to_string : litmus_payload -> string
 val litmus_payload_of_string : string -> litmus_payload option
-(** [None] if the payload does not decode (defence in depth — the
-    store checksum already rejects torn entries). *)
+(** [None] if the payload does not decode
+    ({!Ise_pool.Codec.unmarshal_opt}: defence in depth — the store
+    checksum already rejects torn entries). *)
 
 val replay_payload_to_string : (unit, string) result -> string
 val replay_payload_of_string : string -> (unit, string) result option
@@ -87,7 +95,7 @@ type request =
   | Fuzz_replay of { entry : Ise_fuzz.Corpus.entry; seeds : int }
   | Stats_req
   | Metrics_req
-      (** v2: ask for a Prometheus text-format dump of the daemon's
+      (** ask for a Prometheus text-format dump of the daemon's
           metrics — the scrapable face of {!server_stats} *)
   | Shutdown  (** ask the daemon to drain and exit *)
 
@@ -136,7 +144,7 @@ type response =
   | Replay_done of { result : (unit, string) result; cached : bool }
   | Stats of server_stats
   | Metrics of string
-      (** v2: Prometheus text exposition
+      (** Prometheus text exposition
           ({!Ise_telemetry.Registry.to_prometheus}) of the daemon's
           counters and store view *)
   | Shutting_down
@@ -154,4 +162,5 @@ val read_response :
   Unix.file_descr ->
   (response, string) result
 (** Blocking read of one response frame; [Error] describes EOF,
-    corruption, or a protocol-byte mismatch. *)
+    corruption, a protocol-byte mismatch, or a payload that does not
+    {!Ise_pool.Codec.unseal}. *)

@@ -291,9 +291,9 @@ let serve_forever t =
   Framed.serve t.framed ~proto:Proto.version ~max_payload:t.cfg.max_payload
     ~error:(fun conn kind msg -> send_error t conn kind msg)
     ~request:(fun conn payload ->
-      match (Ise_pool.Codec.unmarshal payload : Proto.request) with
-      | req -> handle_request t conn req
-      | exception _ ->
+      match (Ise_pool.Codec.unseal payload : Proto.request option) with
+      | Some req -> handle_request t conn req
+      | None ->
         send_error t conn Proto.Malformed_frame
           "request payload does not decode")
     ~on_drained:(fun () ->

@@ -1,8 +1,8 @@
 (* Tests for Ise_fabric: partition/EWMA plans, shard cache keys, the
    --shard range-union property, worker protocol discipline under
    malformed and hostile traffic, the resilience plane (netchaos
-   wire-fault injection, heartbeats, rejoin, stale-socket hygiene,
-   v1 compatibility), chaos campaigns over the fabric, and the
+   wire-fault injection, heartbeats, rejoin, stale-socket hygiene),
+   chaos campaigns over the fabric, and the
    headline guarantee — a campaign run across simulated workers
    (killed, restarted, proxied through deterministic wire faults, or
    answered entirely by the result store) merges to output
@@ -216,8 +216,7 @@ let test_netchaos_deterministic () =
 let test_wire_hostility_decode () =
   let base =
     Codec.encode ~proto:Wire.version
-      (Wire.encode_payload ~proto:Wire.version
-         (Wire.Run (Wire.plain_job ~shard:1 ~lo:2 ~hi:9)))
+      (Codec.seal (Wire.Run (Wire.plain_job ~shard:1 ~lo:2 ~hi:9)))
   in
   (* any mutation — truncation, bit flips, version/proto skew, absurd
      length claims — must yield a typed decode result, never an
@@ -228,14 +227,14 @@ let test_wire_hostility_decode () =
     let buf = Bytes.of_string m in
     match Codec.decode ~max_payload:(1 lsl 20) buf ~pos:0 ~len:(Bytes.length buf) with
     | Codec.Need_more | Codec.Corrupt _ -> ()
-    | Codec.Frame { payload; proto; _ } -> (
-      match (Wire.decode_payload ~proto payload : Wire.request option) with
+    | Codec.Frame { payload; _ } -> (
+      match (Codec.unseal payload : Wire.request option) with
       | Some _ | None -> ())
     | exception e ->
       Alcotest.failf "decode raised on mutation seed %d: %s" seed
         (Printexc.to_string e)
   done;
-  (* the v2 digest envelope *guarantees* payload corruption surfaces
+  (* the digest envelope *guarantees* payload corruption surfaces
      as a typed decode failure, never a plausible wrong value *)
   for seed = 0 to 199 do
     let rng = Ise_util.Rng.create (1000 + seed) in
@@ -244,22 +243,24 @@ let test_wire_hostility_decode () =
       Codec.decode ~max_payload:(1 lsl 20) (Bytes.of_string m) ~pos:0
         ~len:(String.length m)
     with
-    | Codec.Frame { payload; proto; _ } -> (
-      match (Wire.decode_payload ~proto payload : Wire.request option) with
+    | Codec.Frame { payload; _ } -> (
+      match (Codec.unseal payload : Wire.request option) with
       | None -> ()
       | Some _ -> Alcotest.failf "corrupted payload decoded (seed %d)" seed)
     | Codec.Need_more | Codec.Corrupt _ ->
       Alcotest.fail "corrupt_payload damaged the framing"
   done;
-  (* v1 payloads have no digest — the structural marshal validator must
-     make decode *total* there too.  A corrupted bare-marshal stream
-     fed straight to [Marshal.from_string] can segfault the runtime's
+  (* a digest is no defence against a peer that computes it: sealed
+     behind a *valid* digest, a corrupted marshal stream must still
+     decode to [None] through the structural validator.  Fed straight
+     to [Marshal.from_string] such a stream can segfault the runtime's
      intern loop (e.g. a one-byte flip turning "block of size 1" into
      "block of size 7" makes it overread), so simply running this loop
      without crashing is the assertion. *)
-  let v1_bases =
-    [ Codec.marshal (Wire.Hello_ok { proto = 2; git_rev = "cafe"; pid = 42 });
-      Codec.marshal (Wire.Hello { proto = 2; git_rev = "cafe" });
+  let bases =
+    [ Codec.marshal
+        (Wire.Hello_ok { proto = Wire.version; git_rev = "cafe"; pid = 42 });
+      Codec.marshal (Wire.Hello { proto = Wire.version; git_rev = "cafe" });
       Codec.marshal Wire.Spec_ok;
       Codec.marshal
         (Wire.Shard_done
@@ -269,7 +270,7 @@ let test_wire_hostility_decode () =
   List.iter
     (fun payload ->
       Alcotest.(check bool)
-        "validator accepts real v1 payload" true
+        "validator accepts a real payload" true
         (Codec.valid_marshal payload);
       for seed = 0 to 499 do
         let rng = Ise_util.Rng.create (2000 + seed) in
@@ -284,13 +285,13 @@ let test_wire_hostility_decode () =
             Bytes.sub_string b 0 (1 + Ise_util.Rng.int rng (n - 1))
           else Bytes.to_string b
         in
-        match (Wire.decode_payload ~proto:1 s : Wire.response option) with
+        match (Codec.unseal (Digest.string s ^ s) : Wire.response option) with
         | Some _ | None -> ()
         | exception e ->
-          Alcotest.failf "v1 decode raised on corruption seed %d: %s" seed
+          Alcotest.failf "unseal raised on corruption seed %d: %s" seed
             (Printexc.to_string e)
       done)
-    v1_bases
+    bases
 
 (* ------------------------------------------------------------------ *)
 (* worker protocol discipline                                          *)
@@ -318,16 +319,16 @@ let expect_err fd kind =
   | Error msg -> Alcotest.failf "no error frame: %s" msg
 
 let hello fd =
-  Wire.write_request ~proto:Wire.hello_proto fd
+  Wire.write_request fd
     (Wire.Hello { proto = Wire.version; git_rev = "test" });
   match Wire.read_response fd with
   | Ok (Wire.Hello_ok _) -> ()
   | Ok _ -> Alcotest.fail "expected Hello_ok"
   | Error msg -> Alcotest.failf "hello failed: %s" msg
 
-let with_sim ?(n = 1) ?proto ?netchaos ?trace_dir f =
+let with_sim ?(n = 1) ?netchaos ?trace_dir f =
   let dir = tmp_dir () in
-  let sim = Sim.start ?proto ?netchaos ?trace_dir ~dir ~n () in
+  let sim = Sim.start ?netchaos ?trace_dir ~dir ~n () in
   Fun.protect ~finally:(fun () -> Sim.stop sim) (fun () -> f sim)
 
 let test_worker_hello_discipline () =
@@ -340,20 +341,24 @@ let test_worker_hello_discipline () =
         Wire.write_request fd Wire.Worker_stats_req;
         expect_err fd Framed.Bad_request;
         Unix.close fd;
-        (* a future peer version negotiates down, not away *)
+        (* a Hello of any other version — newer or older — is refused
+           by name: there is no negotiation *)
+        List.iter
+          (fun proto ->
+            let fd = raw_connect socket in
+            Wire.write_request fd (Wire.Hello { proto; git_rev = "test" });
+            expect_err fd Framed.Unsupported_proto;
+            Unix.close fd)
+          [ Wire.version + 1; Wire.version - 1 ];
+        (* a serve client that dialled a worker is refused at its
+           first frame: serve and fabric share frame layout, seal and
+           Hello shape, so only the protocol byte tells them apart *)
+        let module Proto = Ise_serve.Proto in
+        checkb "serve and fabric protocol bytes differ" true
+          (Proto.version <> Wire.version);
         let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
-          (Wire.Hello { proto = Wire.version + 1; git_rev = "test" });
-        (match Wire.read_response fd with
-         | Ok (Wire.Hello_ok { proto; _ }) ->
-           checki "negotiated down to ours" Wire.version proto
-         | Ok _ -> Alcotest.fail "expected Hello_ok"
-         | Error msg -> Alcotest.failf "future-version Hello: %s" msg);
-        Unix.close fd;
-        (* a version below min_version is refused by name *)
-        let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
-          (Wire.Hello { proto = 0; git_rev = "test" });
+        Proto.write_request fd
+          (Proto.Hello { proto = Proto.version; git_rev = "test" });
         expect_err fd Framed.Unsupported_proto;
         Unix.close fd;
         (* Run before Set_spec is a Bad_request, not a crash *)
@@ -377,10 +382,23 @@ let test_worker_malformed_traffic () =
         (* a version-skewed frame (wrong protocol byte) is refused *)
         let fd = raw_connect socket in
         let skewed =
-          Codec.encode ~proto:(Wire.version + 9) (Codec.marshal Wire.Shutdown)
+          Codec.encode ~proto:(Wire.version + 9) (Codec.seal Wire.Shutdown)
         in
         ignore (Unix.write_substring fd skewed 0 (String.length skewed));
         expect_err fd Framed.Unsupported_proto;
+        Unix.close fd;
+        (* a well-framed payload behind a valid digest whose marshal
+           stream would crash the runtime's intern loop (a SHARED8
+           back-reference into an empty object table) is refused
+           before it is unmarshalled *)
+        let fd = raw_connect socket in
+        let crashing =
+          "\x84\x95\xA6\xBE\x00\x00\x00\x02"
+          ^ String.make 12 '\x00' ^ "\x04\x05"
+        in
+        Codec.write_frame ~proto:Wire.version fd
+          (Digest.string crashing ^ crashing);
+        expect_err fd Framed.Malformed_frame;
         Unix.close fd;
         (* an honest header claiming an absurd payload is refused from
            the header alone *)
@@ -405,8 +423,7 @@ let test_worker_malformed_traffic () =
            connection; the worker survives and serves the next one *)
         let fd = raw_connect socket in
         let frame =
-          Codec.encode ~proto:Wire.version
-            (Codec.marshal Wire.Worker_stats_req)
+          Codec.encode ~proto:Wire.version (Codec.seal Wire.Worker_stats_req)
         in
         ignore (Unix.write_substring fd frame 0 (String.length frame / 2));
         Unix.close fd;
@@ -462,15 +479,11 @@ let test_worker_wire_hostility () =
     with_sim (fun sim ->
         let socket = List.hd (Sim.sockets sim) in
         let bases =
-          [| Codec.encode ~proto:Wire.version
-               (Wire.encode_payload ~proto:Wire.version
-                  (Wire.Hello { proto = Wire.version; git_rev = "t" }));
-             Codec.encode ~proto:Wire.version
-               (Wire.encode_payload ~proto:Wire.version
-                  (Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:1)));
-             Codec.encode ~proto:1
-               (Wire.encode_payload ~proto:1 Wire.Worker_stats_req)
-          |]
+          Array.map
+            (fun req -> Codec.encode ~proto:Wire.version (Codec.seal req))
+            [| Wire.Hello { proto = Wire.version; git_rev = "t" };
+               Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:1);
+               Wire.Worker_stats_req |]
         in
         let rng = Ise_util.Rng.create 99 in
         for _ = 1 to 40 do
@@ -689,7 +702,7 @@ let spawn_silent_worker path =
          (try
             (match Codec.read_frame_ext fd with
              | Ok _ ->
-               Wire.write_response ~proto:Wire.hello_proto fd
+               Wire.write_response fd
                  (Wire.Hello_ok
                     { proto = Wire.version; git_rev = "silent";
                       pid = Unix.getpid () });
@@ -795,37 +808,6 @@ let test_netchaos_fault_identity () =
                   true
                   (pinned merged.Merge.m_report = pinned reference)))
           (Netchaos.calm :: Netchaos.all))
-
-let test_fabric_v1_compat () =
-  if not (requires_fork ()) then ()
-  else
-    let spec = Campaign.spec ~count:8 ~seeds_per_test:4 ~seed:13 () in
-    let reference = reference_run spec ~log:ignore in
-    with_sim ~n:2 ~proto:1 (fun sim ->
-        (* the v1 worker negotiates the connection down and refuses
-           v2-only requests by name *)
-        let socket = List.hd (Sim.sockets sim) in
-        let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
-          (Wire.Hello { proto = Wire.version; git_rev = "test" });
-        (match Wire.read_response fd with
-         | Ok (Wire.Hello_ok { proto; _ }) ->
-           checki "negotiated down to v1" 1 proto
-         | Ok _ -> Alcotest.fail "expected Hello_ok"
-         | Error msg -> Alcotest.failf "hello failed: %s" msg);
-        Wire.write_request ~proto:1 fd (Wire.Ping 7);
-        expect_err fd Framed.Bad_request;
-        Unix.close fd;
-        (* a v2 supervisor still runs a campaign over a v1 fleet —
-           silently skipping heartbeats on those connections *)
-        let cfg = Supervisor.default_config ~workers:(Sim.sockets sim) in
-        let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
-        checki "no pings to v1 workers" 0 stats.Supervisor.f_pings;
-        checki "nothing ran inline" 0 stats.Supervisor.f_inline;
-        let merged = Merge.merge spec ~ranges ~outcomes in
-        checkb "v1 fleet is byte-identical" true
-          (fingerprint ~seed:13 merged.Merge.m_report
-          = fingerprint ~seed:13 reference))
 
 (* ------------------------------------------------------------------ *)
 (* observability plane                                                 *)
@@ -1008,38 +990,6 @@ let test_fabric_trace_parenting () =
           evs;
         checkb "worker shard spans present" true (!shard_spans >= 8))
 
-let test_fabric_streaming_v1_degrades () =
-  if not (requires_fork ()) then ()
-  else
-    (* observability requested against a v1 fleet: the supervisor must
-       not ship ctx or stream flags those workers cannot decode, and
-       the campaign must be unaffected *)
-    let spec = Campaign.spec ~count:8 ~seeds_per_test:4 ~seed:13 () in
-    let reference = reference_run spec ~log:ignore in
-    with_sim ~n:2 ~proto:1 (fun sim ->
-        let reg = Registry_t.create () in
-        let observe =
-          { Supervisor.default_observe with
-            Supervisor.stream = true;
-            metrics = Some reg;
-            trace = Some (Trace_t.create ());
-            trace_id = "t-v1";
-          }
-        in
-        let cfg =
-          { (Supervisor.default_config ~workers:(Sim.sockets sim)) with
-            Supervisor.observe = observe;
-          }
-        in
-        let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
-        checki "v1 workers stream nothing" 0
-          stats.Supervisor.f_telemetry_frames;
-        checki "nothing ran inline" 0 stats.Supervisor.f_inline;
-        let merged = Merge.merge spec ~ranges ~outcomes in
-        checkb "v1 fleet byte-identical under observe" true
-          (fingerprint ~seed:13 merged.Merge.m_report
-          = fingerprint ~seed:13 reference))
-
 let test_fabric_store_cache () =
   if not (requires_fork ()) then ()
   else
@@ -1200,10 +1150,6 @@ let suite =
       `Slow test_fabric_streaming_observability;
     Alcotest.test_case "fabric: stitched trace parents shard spans" `Slow
       test_fabric_trace_parenting;
-    Alcotest.test_case "fabric: observe degrades on a v1 fleet" `Slow
-      test_fabric_streaming_v1_degrades;
-    Alcotest.test_case "fabric: v1 workers still speak" `Slow
-      test_fabric_v1_compat;
     Alcotest.test_case "fabric: store answers a repeated campaign" `Quick
       test_fabric_store_cache;
     Alcotest.test_case "fabric: dead fabric degrades to inline" `Quick

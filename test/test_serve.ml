@@ -1,8 +1,9 @@
-(* Tests for Ise_serve: codec v1/v2 reader-writer pairings, canonical
+(* Tests for Ise_serve: codec frame layout and version refusal, canonical
    litmus fingerprints (formatting-invariant, Table 6-distinct), the
    content-addressed result store (round-trip, persistence, corruption
    recovery, LRU front, gc), and the daemon itself — Hello discipline,
-   typed error frames for malformed/oversized/wrong-version input,
+   typed error frames for malformed/oversized/wrong-version input and
+   for hostile payloads,
    cache hit ≡ cold-run byte-identity, fingerprint invalidation,
    concurrent clients, and SIGTERM drain.  Daemon cases fork the
    server process and are skipped on platforms without [Unix.fork]. *)
@@ -28,21 +29,10 @@ let tmp_dir () =
   d
 
 (* ------------------------------------------------------------------ *)
-(* codec: old ↔ new reader/writer pairings                             *)
+(* codec: one frame layout, every other version refused               *)
 
 let decode_str ?max_payload s =
   Codec.decode ?max_payload (Bytes.of_string s) ~pos:0 ~len:(String.length s)
-
-let test_codec_v1_writer_new_reader () =
-  (* a frame from a v1 writer decodes in today's reader, as proto 0 *)
-  let framed = Codec.encode ~version:1 "legacy payload" in
-  checki "v1 header size" (Codec.header_bytes_v1 + 14) (String.length framed);
-  match decode_str framed with
-  | Codec.Frame { payload; proto; consumed } ->
-    checks "payload" "legacy payload" payload;
-    checki "proto defaults to 0" 0 proto;
-    checki "consumed" (String.length framed) consumed
-  | _ -> Alcotest.fail "v1 frame did not decode"
 
 let test_codec_v2_carries_proto () =
   let framed = Codec.encode ~proto:7 "new payload" in
@@ -53,38 +43,31 @@ let test_codec_v2_carries_proto () =
     checki "proto" 7 proto
   | _ -> Alcotest.fail "v2 frame did not decode"
 
-let test_codec_v1_cannot_carry_proto () =
-  match Codec.encode ~version:1 ~proto:1 "p" with
-  | _ -> Alcotest.fail "v1 frame accepted a protocol byte"
-  | exception Invalid_argument _ -> ()
-
 let test_codec_future_version_rejected () =
-  (* hand-craft a "v3" frame: the reader must refuse at the version
+  (* hand-craft frames of every neighbouring version — the retired v1
+     layout and a future v3: the reader must refuse at the version
      byte, never guess at the layout *)
-  let b = Bytes.of_string (Codec.encode ~proto:0 "payload") in
-  Bytes.set b 4 (Char.chr 3);
-  (match Codec.decode b ~pos:0 ~len:(Bytes.length b) with
-   | Codec.Corrupt (Codec.Unsupported_version 3) -> ()
-   | _ -> Alcotest.fail "future version not rejected");
-  (* and a truncated future frame is still Unsupported_version, not
-     Need_more: rejection must not wait for bytes that never come *)
-  match Codec.decode b ~pos:0 ~len:6 with
-  | Codec.Corrupt (Codec.Unsupported_version 3) -> ()
-  | _ -> Alcotest.fail "short future frame not rejected"
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string (Codec.encode ~proto:0 "payload") in
+      Bytes.set b 4 (Char.chr v);
+      (match Codec.decode b ~pos:0 ~len:(Bytes.length b) with
+       | Codec.Corrupt (Codec.Unsupported_version v') when v' = v -> ()
+       | _ -> Alcotest.failf "version %d not rejected" v);
+      (* and a truncated frame is still Unsupported_version, not
+         Need_more: rejection must not wait for bytes that never come *)
+      match Codec.decode b ~pos:0 ~len:6 with
+      | Codec.Corrupt (Codec.Unsupported_version v') when v' = v -> ()
+      | _ -> Alcotest.failf "short version-%d frame not rejected" v)
+    [ 0; 1; 3 ]
 
 let test_codec_fd_pairing () =
-  (* write_frame/read_frame_ext agree for both header versions *)
+  (* write_frame/read_frame_ext agree on the protocol byte *)
   let r, w = Unix.pipe () in
   Codec.write_frame ~proto:3 w "over the wire";
-  Unix.write_substring w (Codec.encode ~version:1 "old style") 0
-    (String.length (Codec.encode ~version:1 "old style"))
-  |> ignore;
   (match Codec.read_frame_ext r with
    | Ok (3, "over the wire") -> ()
-   | _ -> Alcotest.fail "v2 fd round-trip");
-  (match Codec.read_frame_ext r with
-   | Ok (0, "old style") -> ()
-   | _ -> Alcotest.fail "v1 fd round-trip");
+   | _ -> Alcotest.fail "fd round-trip");
   Unix.close r;
   Unix.close w
 
@@ -397,20 +380,18 @@ let test_serve_unsupported_proto () =
   if not (requires_fork ()) then ()
   else
     with_daemon (fun ~dir:_ ~socket ~pid:_ ->
-        match Client.connect ~proto:99 ~retries:100 socket with
-        | Ok c ->
-          Client.close c;
-          Alcotest.fail "daemon accepted protocol v99"
-        | Error msg ->
-          checkb "names the version mismatch" true
-            (String.length msg > 0
-            && (let re = "unsupported-proto" in
-                let rec find i =
-                  i + String.length re <= String.length msg
-                  && (String.sub msg i (String.length re) = re
-                     || find (i + 1))
-                in
-                find 0)))
+        let fd = raw_connect socket in
+        Proto.write_request fd (Proto.Hello { proto = 99; git_rev = "test" });
+        expect_err fd Proto.Unsupported_proto;
+        Unix.close fd;
+        (* a fabric supervisor that dialled the daemon is refused at
+           its first frame, by the protocol byte *)
+        let module Wire = Ise_fabric.Wire in
+        let fd = raw_connect socket in
+        Wire.write_request fd
+          (Wire.Hello { proto = Wire.version; git_rev = "test" });
+        expect_err fd Proto.Unsupported_proto;
+        Unix.close fd)
 
 let test_serve_malformed_frame () =
   if not (requires_fork ()) then ()
@@ -438,7 +419,7 @@ let test_serve_oversized_frame () =
         expect_err fd Proto.Frame_too_large;
         Unix.close fd)
 
-let test_serve_wrong_frame_proto () =
+let test_serve_wrong_proto_byte () =
   if not (requires_fork ()) then ()
   else
     with_daemon (fun ~dir:_ ~socket ~pid:_ ->
@@ -674,14 +655,44 @@ let test_serve_pool_fanout_identity () =
     List.iter2 (checks "jobs=3 = jobs=1") (lines 1) (lines 3)
   end
 
+(* A well-framed request whose payload is a marshal stream that the
+   runtime's intern loop cannot survive: a SHARED8 back-reference into
+   an empty object table.  [Marshal.from_string] segfaults on it, so
+   the daemon must refuse it before unmarshalling — whether it arrives
+   bare (digest mismatch) or behind a digest a hostile peer computed
+   (structural validation). *)
+let crashing_stream =
+  "\x84\x95\xA6\xBE\x00\x00\x00\x02"
+  ^ String.make 12 '\x00' ^ "\x04\x05"
+
+let test_serve_malformed_payload () =
+  checki "22-byte stream" 22 (String.length crashing_stream);
+  checkb "store decoder refuses it (litmus)" true
+    (Proto.litmus_payload_of_string crashing_stream = None);
+  checkb "store decoder refuses it (replay)" true
+    (Proto.replay_payload_of_string crashing_stream = None);
+  if not (requires_fork ()) then ()
+  else
+    with_daemon (fun ~dir:_ ~socket ~pid:_ ->
+        List.iter
+          (fun payload ->
+            let fd = raw_connect socket in
+            Codec.write_frame ~proto:Proto.version fd payload;
+            expect_err fd Proto.Malformed_frame;
+            Unix.close fd)
+          [ crashing_stream;
+            Digest.string crashing_stream ^ crashing_stream ];
+        (* the daemon survived both and still serves a fresh client *)
+        let c = connect_exn socket in
+        (match Client.server_stats c with
+         | Ok s -> checki "both refusals counted" 2 s.Proto.ss_errors
+         | Error msg -> Alcotest.failf "stats after hostile payloads: %s" msg);
+        Client.close c)
+
 let suite =
   [
-    Alcotest.test_case "codec: v1 writer, new reader" `Quick
-      test_codec_v1_writer_new_reader;
     Alcotest.test_case "codec: v2 carries proto byte" `Quick
       test_codec_v2_carries_proto;
-    Alcotest.test_case "codec: v1 cannot carry proto" `Quick
-      test_codec_v1_cannot_carry_proto;
     Alcotest.test_case "codec: future version rejected" `Quick
       test_codec_future_version_rejected;
     Alcotest.test_case "codec: fd helpers pair across versions" `Quick
@@ -692,12 +703,12 @@ let suite =
       test_fingerprint_renaming_invariant;
     Alcotest.test_case "fingerprint: stable through .lit round-trip" `Quick
       test_fingerprint_corpus_roundtrip_stable;
-    Alcotest.test_case "fingerprint: Table 6 corpus distinct" `Quick
-      test_fingerprint_table6_distinct;
     Alcotest.test_case "fingerprint: semantic changes alter it" `Quick
       test_fingerprint_semantic_change;
     Alcotest.test_case "keys: config fingerprint invalidates" `Quick
       test_config_fingerprint_invalidates;
+    Alcotest.test_case "fingerprint: Table 6 corpus distinct" `Quick
+      test_fingerprint_table6_distinct;
     Alcotest.test_case "keys: engine epoch bump invalidates" `Quick
       test_enum_epoch_invalidates;
     Alcotest.test_case "cache: LRU eviction order" `Quick test_cache_lru;
@@ -720,7 +731,7 @@ let suite =
     Alcotest.test_case "serve: oversized frame → typed error" `Quick
       test_serve_oversized_frame;
     Alcotest.test_case "serve: wrong frame proto → typed error" `Quick
-      test_serve_wrong_frame_proto;
+      test_serve_wrong_proto_byte;
     Alcotest.test_case "serve: cache hit ≡ cold run bytes" `Quick
       test_serve_cache_hit_byte_identity;
     Alcotest.test_case "serve: fingerprint change invalidates" `Quick
@@ -739,4 +750,6 @@ let suite =
       test_serve_sigterm_drains;
     Alcotest.test_case "serve: pool fan-out byte-identity" `Quick
       test_serve_pool_fanout_identity;
+    Alcotest.test_case "serve: malformed payload → typed error" `Quick
+      test_serve_malformed_payload;
   ]
