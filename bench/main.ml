@@ -947,27 +947,13 @@ let fabric_bench () =
       Ise_fuzz.Campaign.run ~count:24 ~seeds_per_test:8 ~seed ()
     in
     let t_ref = Unix.gettimeofday () -. t0 in
-    let fabric_run ?netchaos ?(stream = false) n =
+    let fabric_run ?netchaos n =
       let dir = Filename.temp_file "ise_fabric_bench" "" in
       Sys.remove dir;
       let sim = Ise_fabric.Sim.start ?netchaos ~dir ~n () in
-      (* streaming on = the full observability plane: per-worker delta
-         snapshots, dispatch spans, and status snapshots every 100 ms *)
-      let observe =
-        if stream then
-          { Ise_fabric.Supervisor.default_observe with
-            Ise_fabric.Supervisor.stream = true;
-            metrics = Some (Ise_telemetry.Registry.create ());
-            trace = Some (Ise_telemetry.Trace.create ());
-            trace_id = "bench";
-            status_period_s = 0.1;
-          }
-        else Ise_fabric.Supervisor.default_observe
-      in
       let cfg =
-        { (Ise_fabric.Supervisor.default_config
-             ~workers:(Ise_fabric.Sim.sockets sim))
-          with Ise_fabric.Supervisor.observe }
+        Ise_fabric.Supervisor.default_config
+          ~workers:(Ise_fabric.Sim.sockets sim)
       in
       let t0 = Unix.gettimeofday () in
       let ranges, outcomes, stats =
@@ -980,9 +966,6 @@ let fabric_bench () =
     in
     let r1, s1, t1 = fabric_run 1 in
     let r4, s4, t4 = fabric_run 4 in
-    (* streaming overhead: the same 4-worker campaign with the whole
-       observability plane on; the delta must stay marginal *)
-    let r4o, s4o, t4o = fabric_run ~stream:true 4 in
     (* the resilience gate: the same campaign through storm-profile
        wire-fault proxies must still merge byte-identically *)
     let rs, ss, ts =
@@ -991,8 +974,6 @@ let fabric_bench () =
     let id1 = fingerprint r1 = fingerprint reference in
     let id4 = fingerprint r4 = fingerprint reference in
     let ids = fingerprint rs = fingerprint reference in
-    let ido = fingerprint r4o = fingerprint reference in
-    let overhead_frac = (t4o -. t4) /. t4 in
     let t = Table.create ~headers:[ "Workers"; "Wall (s)"; "Speedup"; "Dispatched" ] in
     Table.add_row t
       [ "local"; Table.cell_f ~decimals:2 t_ref; Table.cell_f ~decimals:2 1.;
@@ -1006,18 +987,10 @@ let fabric_bench () =
         Table.cell_f ~decimals:2 (t_ref /. t4);
         string_of_int s4.Ise_fabric.Supervisor.f_dispatched ];
     Table.add_row t
-      [ "4+stream"; Table.cell_f ~decimals:2 t4o;
-        Table.cell_f ~decimals:2 (t_ref /. t4o);
-        string_of_int s4o.Ise_fabric.Supervisor.f_dispatched ];
-    Table.add_row t
       [ "4+storm"; Table.cell_f ~decimals:2 ts;
         Table.cell_f ~decimals:2 (t_ref /. ts);
         string_of_int ss.Ise_fabric.Supervisor.f_dispatched ];
     Table.print t;
-    Printf.printf
-      "telemetry streaming: %d frame(s) absorbed, overhead %+.1f%% of the \
-       quiet 4-worker run\n"
-      s4o.Ise_fabric.Supervisor.f_telemetry_frames (100. *. overhead_frac);
     Printf.printf
       "merged reports byte-identical to single-host: 1 worker %b, 4 workers \
        %b, 4 workers under netchaos storm %b (%d tests, %d checks, %d \
@@ -1062,30 +1035,14 @@ let fabric_bench () =
              Ise_telemetry.Json.Int ss.Ise_fabric.Supervisor.f_pings );
            ( "storm_hb_losses",
              Ise_telemetry.Json.Int ss.Ise_fabric.Supervisor.f_hb_losses );
-           ("stream_wall_s", Ise_telemetry.Json.Float t4o);
-           ("telemetry_overhead_frac", Ise_telemetry.Json.Float overhead_frac);
-           ( "stream_telemetry_frames",
-             Ise_telemetry.Json.Int
-               s4o.Ise_fabric.Supervisor.f_telemetry_frames );
            ("identical_w1", Ise_telemetry.Json.Bool id1);
            ("identical_w4", Ise_telemetry.Json.Bool id4);
-           ("identical_stream", Ise_telemetry.Json.Bool ido);
            ("identical_storm", Ise_telemetry.Json.Bool ids) ]);
-    if not (id1 && id4 && ids && ido) then begin
+    if not (id1 && id4 && ids) then begin
       Printf.eprintf
         "[bench] fabric: merged report diverged from single-host (1 worker \
-         %b, 4 workers %b, streaming %b, storm %b)!\n%!"
-        id1 id4 ido ids;
-      exit 1
-    end;
-    (* the streaming-overhead gate: < 5% of the quiet run, with an
-       absolute floor so scheduler noise on a sub-second campaign
-       cannot trip it *)
-    if t4o -. t4 > Float.max (0.05 *. t4) 0.3 then begin
-      Printf.eprintf
-        "[bench] fabric: telemetry streaming overhead %.2fs (%.1f%%) \
-         exceeds the 5%% gate!\n%!"
-        (t4o -. t4) (100. *. overhead_frac);
+         %b, 4 workers %b, storm %b)!\n%!"
+        id1 id4 ids;
       exit 1
     end
   end

@@ -305,9 +305,8 @@ let gap_cmd =
 (* stats                                                               *)
 
 let stats_cmd =
-  let run kernel nodes degree no_inject format prom trace_out telemetry_out
+  let run kernel nodes degree no_inject format trace_out telemetry_out
       sample_period =
-    let format = if prom then "prom" else format in
     if sample_period <= 0 then begin
       Printf.eprintf "--sample-period must be positive\n";
       exit 1
@@ -325,9 +324,8 @@ let stats_cmd =
        print_endline
          (Ise_telemetry.Json.to_string_pretty
             (Ise_telemetry.Registry.to_json reg))
-     | "prom" -> print_string (Ise_telemetry.Registry.to_prometheus reg)
      | f ->
-       Printf.eprintf "unknown format %S (text|csv|json|prom)\n" f;
+       Printf.eprintf "unknown format %S (text|csv|json)\n" f;
        exit 1);
     (match trace_out with
      | Some path -> write_trace sink path
@@ -355,7 +353,7 @@ let stats_cmd =
   let format_arg =
     Arg.(value & opt string "text"
          & info [ "f"; "format" ] ~docv:"FMT"
-             ~doc:"text|csv|json|prom (prom = Prometheus text exposition)")
+             ~doc:"text|csv|json")
   in
   let period_arg =
     Arg.(value & opt int 200
@@ -368,11 +366,6 @@ let stats_cmd =
              registry (optionally a Perfetto trace)")
     Term.(const run $ kernel_arg $ nodes_arg $ degree_arg $ noinject_arg
           $ format_arg
-          $ Arg.(value & flag
-                 & info [ "prom" ]
-                     ~doc:"Shorthand for $(b,--format prom): Prometheus \
-                           text exposition, scrapable as a node exporter \
-                           dump.")
           $ trace_out_arg
           $ telemetry_out_arg
               ~doc:"Also write the (stamped) metrics registry as a JSON \
@@ -517,6 +510,24 @@ let fuzz_seeds_arg =
   Arg.(value & opt int 10
        & info [ "seeds-per-test" ] ~docv:"N"
            ~doc:"Perturbed operational runs per test and variant.")
+
+(* campaign terms shared by `fuzz run` and `fabric run`, whose merged
+   report is byte-identical to it *)
+let fuzz_seed_arg =
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
+
+let fuzz_count_arg =
+  Arg.(value & opt int 100 & info [ "count" ] ~docv:"N" ~doc:"Generated tests.")
+
+let fuzz_variants_arg =
+  Arg.(value & opt string "all"
+       & info [ "variants" ] ~docv:"SPEC"
+           ~doc:"Lattice variants to sweep: 'all', 'base', 'chaos' (the \
+                 fault-injection points), or a comma-separated list of \
+                 variant names.")
+
+let fuzz_nosave_arg =
+  Arg.(value & flag & info [ "no-save" ] ~doc:"Do not write failure artifacts.")
 
 let inject_bug_arg =
   Arg.(value & flag
@@ -664,24 +675,6 @@ let fuzz_run_cmd =
     then 0
     else 1
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
-  in
-  let count_arg =
-    Arg.(value & opt int 100
-         & info [ "count" ] ~docv:"N" ~doc:"Generated tests.")
-  in
-  let variants_arg =
-    Arg.(value & opt string "all"
-         & info [ "variants" ] ~docv:"SPEC"
-             ~doc:"Lattice variants to sweep: 'all', 'base', 'chaos' (the \
-                   fault-injection points), or a comma-separated list of \
-                   variant names.")
-  in
-  let nosave_arg =
-    Arg.(value & flag
-         & info [ "no-save" ] ~doc:"Do not write failure artifacts.")
-  in
   let telemetry_out_arg =
     Arg.(value & opt (some string) None
          & info [ "telemetry-out" ] ~docv:"FILE"
@@ -691,8 +684,9 @@ let fuzz_run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run a differential fuzzing campaign over the config lattice")
-    Term.(const run $ seed_arg $ count_arg $ fuzz_seeds_arg $ variants_arg
-          $ corpus_arg $ nosave_arg $ inject_bug_arg $ trace_out_arg
+    Term.(const run $ fuzz_seed_arg $ fuzz_count_arg $ fuzz_seeds_arg
+          $ fuzz_variants_arg $ corpus_arg $ fuzz_nosave_arg $ inject_bug_arg
+          $ trace_out_arg
           $ telemetry_out_arg $ jobs_arg $ shard_size_arg $ journal_dir_arg
           $ ledger_arg $ shard_arg ~what:"test")
 
@@ -1747,25 +1741,6 @@ let client_stats_cmd =
     (Cmd.info "stats" ~doc:"Print the daemon's lifetime counters")
     Term.(const run $ socket_arg)
 
-let client_metrics_cmd =
-  let run socket =
-    let c = connect_or_die socket in
-    match Ise_serve.Client.metrics c with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      Ise_serve.Client.close c;
-      1
-    | Ok text ->
-      Ise_serve.Client.close c;
-      print_string text;
-      0
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Dump the daemon's metrics in Prometheus text format (scrape \
-             target for long-lived daemons)")
-    Term.(const run $ socket_arg)
-
 let client_shutdown_cmd =
   let run socket =
     let c = connect_or_die socket in
@@ -1787,8 +1762,7 @@ let client_cmd =
   Cmd.group
     (Cmd.info "client"
        ~doc:"Talk to a running $(b,ise serve) daemon over its Unix socket")
-    [ client_litmus_cmd; client_stats_cmd; client_metrics_cmd;
-      client_shutdown_cmd ]
+    [ client_litmus_cmd; client_stats_cmd; client_shutdown_cmd ]
 
 let store_dir_pos_arg =
   Arg.(value & opt string ".ise-store"
@@ -1937,64 +1911,13 @@ let fabric_chaos_proxy_cmd =
     Term.(const run $ listen_arg $ upstream_arg $ seed_arg $ profile_arg
           $ quiet_arg)
 
-(* One ise-fabric-status/v1 snapshot rendered as a terminal table.
-   Shared by `ise top` and `fabric run --top`; writes to stderr so the
-   campaign's stdout stays byte-identical to a local run. *)
-let render_status ?(clear = true) doc =
-  let module J = Ise_telemetry.Json in
-  let i k o = Option.value (Option.bind (J.member k o) J.to_int) ~default:0 in
-  let f k o =
-    Option.value (Option.bind (J.member k o) J.to_float) ~default:0.
-  in
-  let s k o =
-    Option.value (Option.bind (J.member k o) J.to_str) ~default:"?"
-  in
-  let buf = Buffer.create 1024 in
-  if clear then Buffer.add_string buf "\027[H\027[2J";
-  let eta = f "eta_s" doc in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "ise fabric  %d/%d shards  %.1f shards/s  wall %.1fs  %s\n"
-       (i "done" doc) (i "shards" doc) (f "shards_per_s" doc)
-       (f "wall_s" doc)
-       (if eta < 0. then "eta --" else Printf.sprintf "eta %.0fs" eta));
-  let c =
-    match J.member "counters" doc with Some o -> o | None -> J.Obj []
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "dispatched %d (redispatch %d)  store hits %d  inline %d  losses %d \
-        rejoins %d  pings %d  hb losses %d  telemetry %d\n\n"
-       (i "dispatched" c) (i "redispatched" c) (i "store_hits" c)
-       (i "inline" c) (i "worker_losses" c) (i "rejoins" c) (i "pings" c)
-       (i "hb_losses" c) (i "telemetry_frames" c));
-  Buffer.add_string buf
-    (Printf.sprintf "%4s  %-8s  %8s  %6s  %5s  %s\n" "ID" "STATE"
-       "INFLIGHT" "DONE" "TELE" "PATH");
-  (match Option.bind (J.member "workers" doc) J.to_list with
-   | None -> ()
-   | Some ws ->
-     List.iter
-       (fun w ->
-         Buffer.add_string buf
-           (Printf.sprintf "%4d  %-8s  %8d  %6d  %5d  %s\n" (i "id" w)
-              (String.uppercase_ascii (s "state" w))
-              (i "inflight" w) (i "done" w)
-              (i "telemetry_frames" w) (s "path" w)))
-       ws);
-  Buffer.add_string buf
-    (Printf.sprintf "\newma %.0f ms   run %s\n" (f "ewma_ms" doc)
-       (s "run_id" doc));
-  prerr_string (Buffer.contents buf);
-  flush stderr
-
 let mkdir_p dir =
   try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
 let fabric_run_cmd =
   let run seed count seeds_per_test variants_spec workers spawn shards
       window store_dir corpus_dir no_save ledger require_workers netchaos
-      netchaos_seed soak_rejoin top status_out prom_out trace_dir quiet =
+      netchaos_seed soak_rejoin trace_dir quiet =
     let variants =
       match variants_of_spec variants_spec with
       | Ok vs -> vs
@@ -2033,35 +1956,17 @@ let fabric_run_cmd =
       Printf.eprintf "--soak-rejoin needs --spawn workers to kill\n";
       exit 1
     end;
-    (* the observability plane: any of --top/--status-out/--prom-out/
-       --trace-dir turns on telemetry streaming.  --top owns the
-       terminal, so it implies --quiet. *)
-    let observing =
-      top || status_out <> None || prom_out <> None || trace_dir <> None
-    in
     let log =
-      if quiet || top then ignore
+      if quiet then ignore
       else fun msg -> Printf.eprintf "[ise-fabric] %s\n%!" msg
     in
-    let obs_metrics =
-      if observing then Some (Ise_telemetry.Registry.create ()) else None
-    in
-    let sup_trace =
-      match trace_dir with
-      | Some dir ->
-        mkdir_p dir;
-        Some (Ise_telemetry.Trace.create ())
-      | None -> None
-    in
-    let observe =
-      { Ise_fabric.Supervisor.default_observe with
-        Ise_fabric.Supervisor.stream = observing;
-        metrics = obs_metrics;
-        trace = sup_trace;
-        trace_id = Printf.sprintf "ise-%s" (Ise_obs.Runinfo.run_id ());
-        status_out;
-        on_status = (if top then render_status ~clear:true else ignore);
-      }
+    let trace =
+      Option.map
+        (fun dir ->
+          mkdir_p dir;
+          ( Printf.sprintf "ise-%s" (Ise_obs.Runinfo.run_id ()),
+            Ise_telemetry.Trace.create () ))
+        trace_dir
     in
     let spec =
       Ise_fuzz.Campaign.spec ~count ~seeds_per_test ~variants ~seed ()
@@ -2125,7 +2030,7 @@ let fabric_run_cmd =
         liveness;
         require_workers;
         await_rejoin_s = (if soak_rejoin then 30.0 else 0.0);
-        observe;
+        trace;
         on_shard_done;
         log;
       }
@@ -2143,9 +2048,9 @@ let fabric_run_cmd =
         exit 3
     in
     (match sim with None -> () | Some s -> Ise_fabric.Sim.stop s);
-    (* observability artifacts, written after the campaign drains *)
-    (match trace_dir, sup_trace with
-     | Some dir, Some tr ->
+    (* the supervisor's trace, written after the campaign drains *)
+    (match trace_dir, trace with
+     | Some dir, Some (_, tr) ->
        let doc =
          Ise_telemetry.Trace.to_chrome_json
            ~meta:
@@ -2157,11 +2062,6 @@ let fabric_run_cmd =
        let path = Filename.concat dir "supervisor.trace.json" in
        write_file path (Ise_telemetry.Json.to_string doc);
        log (Printf.sprintf "wrote supervisor trace to %s" path)
-     | _ -> ());
-    (match prom_out, obs_metrics with
-     | Some path, Some reg ->
-       write_file path (Ise_telemetry.Registry.to_prometheus reg);
-       log (Printf.sprintf "wrote prometheus snapshot to %s" path)
      | _ -> ());
     let merged =
       Ise_fabric.Merge.merge ~log:prerr_endline spec ~ranges ~outcomes
@@ -2221,18 +2121,6 @@ let fabric_run_cmd =
     then 0
     else 1
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
-  in
-  let count_arg =
-    Arg.(value & opt int 100
-         & info [ "count" ] ~docv:"N" ~doc:"Generated tests.")
-  in
-  let variants_arg =
-    Arg.(value & opt string "all"
-         & info [ "variants" ] ~docv:"SPEC"
-             ~doc:"Lattice variants: 'all', 'base', 'chaos', or names.")
-  in
   let workers_arg =
     Arg.(value & opt (list string) []
          & info [ "workers" ] ~docv:"SOCK,..."
@@ -2261,10 +2149,6 @@ let fabric_run_cmd =
                    repeated campaign (same spec, same enumeration epoch) is \
                    answered without dispatching.")
   in
-  let nosave_arg =
-    Arg.(value & flag
-         & info [ "no-save" ] ~doc:"Do not write failure artifacts.")
-  in
   let require_workers_arg =
     Arg.(value & opt int 0
          & info [ "require-workers" ] ~docv:"N"
@@ -2292,28 +2176,6 @@ let fabric_run_cmd =
                    0 and restart it; fail unless the supervisor re-admits \
                    it (the nightly soak's rejoin assertion).")
   in
-  let top_arg =
-    Arg.(value & flag
-         & info [ "top" ]
-             ~doc:"Live campaign dashboard on stderr (refreshing table of \
-                   per-worker state, throughput, ETA); implies --quiet and \
-                   telemetry streaming.  Campaign stdout is unchanged.")
-  in
-  let status_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "status-out" ] ~docv:"FILE"
-             ~doc:"Write an $(b,ise-fabric-status/v1) JSON snapshot to FILE \
-                   (atomically, every 0.5s and once after the drain); \
-                   $(b,ise top --status FILE) renders it from another \
-                   terminal.")
-  in
-  let prom_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "prom-out" ] ~docv:"FILE"
-             ~doc:"After the campaign drains, write the aggregated fleet \
-                   metrics (worker deltas + supervisor counters) to FILE in \
-                   Prometheus text format.")
-  in
   let trace_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-dir" ] ~docv:"DIR"
@@ -2329,12 +2191,11 @@ let fabric_run_cmd =
     (Cmd.info "run"
        ~doc:"Run a fuzzing campaign across fabric workers; the merged \
              report is byte-identical to a single-host run of the same seed")
-    Term.(const run $ seed_arg $ count_arg $ fuzz_seeds_arg $ variants_arg
-          $ workers_arg $ spawn_arg $ shards_arg
-          $ window_arg $ store_arg $ corpus_arg $ nosave_arg $ ledger_arg
+    Term.(const run $ fuzz_seed_arg $ fuzz_count_arg $ fuzz_seeds_arg
+          $ fuzz_variants_arg $ workers_arg $ spawn_arg $ shards_arg
+          $ window_arg $ store_arg $ corpus_arg $ fuzz_nosave_arg $ ledger_arg
           $ require_workers_arg $ netchaos_arg $ netchaos_seed_arg
-          $ soak_rejoin_arg $ top_arg $ status_out_arg $ prom_out_arg
-          $ trace_dir_arg $ quiet_arg)
+          $ soak_rejoin_arg $ trace_dir_arg $ quiet_arg)
 
 let fabric_cmd =
   Cmd.group
@@ -2396,84 +2257,6 @@ let trace_cmd =
     [ trace_stitch_cmd ]
 
 (* ------------------------------------------------------------------ *)
-(* top: live campaign dashboard                                        *)
-
-let top_cmd =
-  let run status once period =
-    let read () =
-      match
-        let ic = open_in_bin status in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with
-      | s -> (
-        match Ise_telemetry.Json.of_string s with
-        | Ok doc -> Some (s, doc)
-        | Error _ -> None (* torn read of a non-atomic writer: retry *))
-      | exception Sys_error _ -> None
-    in
-    if once then begin
-      match read () with
-      | Some (raw, _) ->
-        print_string raw;
-        if raw = "" || raw.[String.length raw - 1] <> '\n' then
-          print_newline ();
-        0
-      | None ->
-        Printf.eprintf "no status snapshot at %s\n" status;
-        1
-    end
-    else begin
-      (* follow the file until the campaign reports done = shards *)
-      let module J = Ise_telemetry.Json in
-      let finished = ref false in
-      let missing_logged = ref false in
-      while not !finished do
-        (match read () with
-         | Some (_, doc) ->
-           missing_logged := false;
-           render_status ~clear:true doc;
-           let geti k =
-             Option.value (Option.bind (J.member k doc) J.to_int) ~default:0
-           in
-           if geti "shards" > 0 && geti "done" >= geti "shards" then
-             finished := true
-         | None ->
-           if not !missing_logged then begin
-             Printf.eprintf "waiting for %s ...\n%!" status;
-             missing_logged := true
-           end);
-        if not !finished then ignore (Unix.select [] [] [] period)
-      done;
-      0
-    end
-  in
-  let status_arg =
-    Arg.(value & opt string (Filename.concat ".ise" "fabric-status.json")
-         & info [ "status" ] ~docv:"FILE"
-             ~doc:"Status snapshot to follow (the $(b,--status-out) of a \
-                   running $(b,ise fabric run)).")
-  in
-  let once_arg =
-    Arg.(value & flag
-         & info [ "once" ]
-             ~doc:"Print one machine-readable ise-fabric-status/v1 JSON \
-                   snapshot to stdout and exit (CI smoke / scripting).")
-  in
-  let period_arg =
-    Arg.(value & opt float 0.5
-         & info [ "period" ] ~docv:"S" ~doc:"Refresh period in seconds.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Live fabric campaign dashboard: render the supervisor's \
-             status snapshots as a refreshing per-worker table until the \
-             campaign drains")
-    Term.(const run $ status_arg $ once_arg $ period_arg)
-
-(* ------------------------------------------------------------------ *)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -2502,7 +2285,7 @@ let () =
         (Cmd.group ~default info
            [ litmus_cmd; mbench_cmd; gap_cmd; mix_cmd; explain_cmd; stats_cmd;
              chaos_cmd; fuzz_cmd; report_cmd; compare_cmd; serve_cmd;
-             client_cmd; store_cmd; fabric_cmd; trace_cmd; top_cmd ])
+             client_cmd; store_cmd; fabric_cmd; trace_cmd ])
     with e ->
       let bt = Printexc.get_backtrace () in
       let msg = Printexc.to_string e in

@@ -21,35 +21,6 @@ let default_liveness = {
   rejoin_backoff_s = 1.0;
 }
 
-(* Observability plane (all off by default).  Strictly read-only with
-   respect to results: streaming, tracing and status snapshots change
-   what the supervisor *records*, never what it dispatches, retries, or
-   merges — the result path stays byte-identical with everything on. *)
-type observe = {
-  stream : bool;
-      (* set [j_stream] on jobs and absorb the workers' Telemetry
-         frames *)
-  metrics : Ise_telemetry.Registry.t option;
-      (* live aggregate sink for absorbed worker deltas + the
-         supervisor's own fabric/* counters *)
-  trace : Ise_telemetry.Trace.t option;
-      (* dispatch spans, wall-clock µs domain *)
-  trace_id : string;  (* campaign trace id; shipped in [j_ctx] *)
-  status_out : string option;  (* periodic status JSON snapshot path *)
-  status_period_s : float;
-  on_status : Ise_telemetry.Json.t -> unit;  (* e.g. the [ise top] renderer *)
-}
-
-let default_observe = {
-  stream = false;
-  metrics = None;
-  trace = None;
-  trace_id = "";
-  status_out = None;
-  status_period_s = 0.5;
-  on_status = ignore;
-}
-
 type config = {
   workers : string list;
   window : int;
@@ -61,7 +32,7 @@ type config = {
   max_payload : int;
   store : Ise_serve.Store.t option;
   await_rejoin_s : float;
-  observe : observe;
+  trace : (string * Ise_telemetry.Trace.t) option;
   on_shard_done : int -> unit;
   log : string -> unit;
 }
@@ -77,7 +48,7 @@ let default_config ~workers = {
   max_payload = 64 * 1024 * 1024;
   store = None;
   await_rejoin_s = 0.0;
-  observe = default_observe;
+  trace = None;
   on_shard_done = ignore;
   log = ignore;
 }
@@ -99,7 +70,6 @@ type stats = {
   f_rejoins : int;
   f_pings : int;
   f_hb_losses : int;
-  f_telemetry_frames : int;
   f_wall_s : float;
 }
 
@@ -115,9 +85,6 @@ type wstate = {
   mutable w_hb_out : int;  (* pings sent and not yet answered by any frame *)
   mutable w_last_ping : float;
   mutable w_refreshes : int;  (* consecutive same-worker re-dispatches *)
-  mutable w_done : int;  (* shards this worker completed first *)
-  mutable w_draining : bool;  (* sent Shutting_down; loss imminent *)
-  mutable w_tele : int;  (* Telemetry frames received *)
 }
 
 let set_handshake_timeout fd s =
@@ -170,46 +137,39 @@ let connect_worker cfg campaign ~retries id path =
     in
     (try
        Wire.write_request fd
-         (Wire.Hello
-            { proto = Wire.version; git_rev = Ise_obs.Runinfo.git_rev () })
+         (Wire.Hello { git_rev = Ise_obs.Runinfo.git_rev () })
      with Unix.Unix_error _ | Sys_error _ -> ());
     match read_hs () with
     | Stdlib.Error msg -> fail ("handshake failed: " ^ msg)
     | Stdlib.Ok (Wire.Error (kind, msg)) ->
       fail (Printf.sprintf "handshake rejected: %s (%s)"
               (Ise_serve.Framed.err_name kind) msg)
-    | Stdlib.Ok (Wire.Hello_ok { proto; pid; _ }) ->
-      if proto <> Wire.version then
-        fail (Printf.sprintf "worker speaks unsupported protocol v%d" proto)
-      else begin
-        (try Wire.write_request fd (Wire.Set_spec campaign)
-         with Unix.Unix_error _ | Sys_error _ -> ());
-        let rec await_spec_ok skips =
-          match read_hs () with
-          | Stdlib.Ok Wire.Spec_ok ->
-            set_handshake_timeout fd 0.;
-            cfg.log
-              (Printf.sprintf "worker %d (%s): connected, pid %d" id path
-                 pid);
-            Some
-              { w_id = id; w_path = path; w_fd = fd;
-                w_buf = Bytes.create 65536; w_len = 0; w_inflight = [];
-                w_dead = false; w_hb_out = 0; w_last_ping = 0.;
-                w_refreshes = 0; w_done = 0; w_draining = false;
-                w_tele = 0 }
-          | Stdlib.Ok (Wire.Hello_ok _) when skips > 0 ->
-            (* a wire-level duplicate of the Hello_ok already consumed
-               (netchaos dup, or a retransmitting relay): skip it
-               rather than failing the handshake *)
-            await_spec_ok (skips - 1)
-          | Stdlib.Ok (Wire.Error (kind, msg)) ->
-            fail (Printf.sprintf "spec rejected: %s (%s)"
-                    (Ise_serve.Framed.err_name kind) msg)
-          | Stdlib.Ok _ -> fail "unexpected response to Set_spec"
-          | Stdlib.Error msg -> fail ("Set_spec failed: " ^ msg)
-        in
-        await_spec_ok 3
-      end
+    | Stdlib.Ok (Wire.Hello_ok { pid; _ }) ->
+      (try Wire.write_request fd (Wire.Set_spec campaign)
+       with Unix.Unix_error _ | Sys_error _ -> ());
+      let rec await_spec_ok skips =
+        match read_hs () with
+        | Stdlib.Ok Wire.Spec_ok ->
+          set_handshake_timeout fd 0.;
+          cfg.log
+            (Printf.sprintf "worker %d (%s): connected, pid %d" id path pid);
+          Some
+            { w_id = id; w_path = path; w_fd = fd;
+              w_buf = Bytes.create 65536; w_len = 0; w_inflight = [];
+              w_dead = false; w_hb_out = 0; w_last_ping = 0.;
+              w_refreshes = 0 }
+        | Stdlib.Ok (Wire.Hello_ok _) when skips > 0 ->
+          (* a wire-level duplicate of the Hello_ok already consumed
+             (netchaos dup, or a retransmitting relay): skip it rather
+             than failing the handshake *)
+          await_spec_ok (skips - 1)
+        | Stdlib.Ok (Wire.Error (kind, msg)) ->
+          fail (Printf.sprintf "spec rejected: %s (%s)"
+                  (Ise_serve.Framed.err_name kind) msg)
+        | Stdlib.Ok _ -> fail "unexpected response to Set_spec"
+        | Stdlib.Error msg -> fail ("Set_spec failed: " ^ msg)
+      in
+      await_spec_ok 3
     | Stdlib.Ok _ -> fail "unexpected response to Hello"
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
@@ -219,7 +179,6 @@ let run cfg campaign =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let lv = cfg.liveness in
-  let obs = cfg.observe in
   let count = Wire.campaign_count campaign in
   let nshards_req =
     match cfg.shards with
@@ -238,18 +197,15 @@ let run cfg campaign =
   let dispatched = ref 0 and redispatched = ref 0 and store_hits = ref 0 in
   let inline_runs = ref 0 and worker_losses = ref 0 in
   let pings = ref 0 and hb_losses = ref 0 in
-  let tele_frames = ref 0 in
   (* open dispatch spans, keyed (worker id, shard) *)
   let dspans : (int * int, string) Hashtbl.t = Hashtbl.create 64 in
   let dspan_name sh = Printf.sprintf "dispatch shard %d" sh in
   let dspan_end w sh =
-    match (obs.trace, Hashtbl.find_opt dspans (w.w_id, sh)) with
-    | Some tr, Some span_id ->
+    match (cfg.trace, Hashtbl.find_opt dspans (w.w_id, sh)) with
+    | Some (trace_id, tr), Some span_id ->
       Hashtbl.remove dspans (w.w_id, sh);
       Ise_telemetry.Trace.span_end tr ~cat:"fabric"
-        ~ctx:
-          { Ise_telemetry.Trace.trace_id = obs.trace_id; span_id;
-            parent_span_id = None }
+        ~ctx:{ Ise_telemetry.Trace.trace_id; span_id; parent_span_id = None }
         ~name:(dspan_name sh) ~tid:w.w_id (now_us ())
     | _ -> ()
   in
@@ -364,15 +320,12 @@ let run cfg campaign =
        worker parents its shard span under whichever dispatch reached
        it, so a stitched timeline shows exactly which attempt won *)
     let span_id = Printf.sprintf "d-%d-%d-w%d" sh attempts.(sh) w.w_id in
-    let j_ctx =
-      if obs.trace <> None then Some (obs.trace_id, span_id) else None
-    in
-    let j_stream = obs.stream in
+    let j_ctx = Option.map (fun (trace_id, _) -> (trace_id, span_id)) cfg.trace in
     (* the span must begin BEFORE the frame hits the socket: the
        worker's "receive" instant is the stitcher's clock anchor, and
        it must never precede its dispatch anchor on a shared clock *)
-    (match obs.trace with
-     | Some tr ->
+    (match cfg.trace with
+     | Some (trace_id, tr) ->
        Hashtbl.replace dspans (w.w_id, sh) span_id;
        Ise_telemetry.Trace.span_begin tr ~cat:"fabric"
          ~args:
@@ -380,14 +333,12 @@ let run cfg campaign =
              ("lo", Ise_telemetry.Json.Int lo);
              ("hi", Ise_telemetry.Json.Int hi);
              ("attempt", Ise_telemetry.Json.Int attempts.(sh)) ]
-         ~ctx:
-           { Ise_telemetry.Trace.trace_id = obs.trace_id; span_id;
-             parent_span_id = None }
+         ~ctx:{ Ise_telemetry.Trace.trace_id; span_id; parent_span_id = None }
          ~name:(dspan_name sh) ~tid:w.w_id (now_us ())
      | None -> ());
     match
       Wire.write_request w.w_fd
-        (Wire.Run { j_shard = sh; j_lo = lo; j_hi = hi; j_ctx; j_stream })
+        (Wire.Run { j_shard = sh; j_lo = lo; j_hi = hi; j_ctx })
     with
     | () ->
       incr dispatched;
@@ -453,7 +404,6 @@ let run cfg campaign =
            w.w_inflight <- List.remove_assoc sh w.w_inflight
          | None -> ());
         dspan_end w sh;
-        if results.(sh) = None then w.w_done <- w.w_done + 1;
         (* first result wins; a duplicate from a straggler is dropped *)
         record sh sr.Wire.sr_payload
       end
@@ -480,18 +430,7 @@ let run cfg campaign =
       worker_lost w
         (Printf.sprintf "error frame: %s (%s)"
            (Ise_serve.Framed.err_name kind) msg)
-    | Wire.Telemetry tu ->
-      (* observability-only: folded into the live aggregate registry,
-         never consulted by dispatch or merge *)
-      w.w_tele <- w.w_tele + 1;
-      incr tele_frames;
-      ignore tu.Wire.tu_seq;
-      (match obs.metrics with
-       | Some reg -> Ise_telemetry.Registry.absorb reg tu.Wire.tu_metrics
-       | None -> ())
-    | Wire.Shutting_down ->
-      w.w_draining <- true;
-      worker_lost w "shutting down"
+    | Wire.Shutting_down -> worker_lost w "shutting down"
     | Wire.Hello_ok _ | Wire.Spec_ok | Wire.Worker_stats _ -> ()
   in
   let read_chunk = Bytes.create 65536 in
@@ -668,110 +607,6 @@ let run cfg campaign =
       | [] -> ()
       | path :: _ -> ignore (add_worker ~retries:0 path)
   in
-  (* live status snapshots: schema [ise-fabric-status/v1], consumed by
-     [ise top] and validated in tier-1 tests.  Built only when a sink
-     is configured, written atomically (tmp + rename) so a concurrent
-     reader never sees a torn document. *)
-  let status_enabled = obs.status_out <> None || obs.metrics <> None in
-  let status_json () =
-    let module J = Ise_telemetry.Json in
-    let now = Unix.gettimeofday () in
-    let elapsed = now -. t0 in
-    let done_ = nshards - !unfinished in
-    let rate = if elapsed > 0. then float_of_int done_ /. elapsed else 0. in
-    let eta =
-      if !unfinished = 0 then 0.
-      else if rate > 0. then float_of_int !unfinished /. rate
-      else -1.
-    in
-    (* mirror the supervisor's own counters into the aggregate
-       registry so one scrape shows the whole campaign *)
-    (match obs.metrics with
-     | Some reg ->
-       let setc n v =
-         Ise_telemetry.Registry.set_counter
-           (Ise_telemetry.Registry.counter reg n) v
-       in
-       setc "fabric/shards" nshards;
-       setc "fabric/done" done_;
-       setc "fabric/dispatched" !dispatched;
-       setc "fabric/redispatched" !redispatched;
-       setc "fabric/store_hits" !store_hits;
-       setc "fabric/worker_losses" !worker_losses;
-       setc "fabric/rejoins" (Registry.rejoins registry);
-       setc "fabric/pings" !pings;
-       setc "fabric/hb_losses" !hb_losses;
-       setc "fabric/telemetry_frames" !tele_frames;
-       Ise_telemetry.Registry.set
-         (Ise_telemetry.Registry.gauge reg "fabric/shards_per_s")
-         rate
-     | None -> ());
-    let worker_json w =
-      let state =
-        if w.w_draining then "draining"
-        else if w.w_dead then "down"
-        else "up"
-      in
-      J.Obj
-        [ ("id", J.Int w.w_id); ("path", J.String w.w_path);
-          ("state", J.String state);
-          ("inflight", J.Int (List.length w.w_inflight));
-          ("done", J.Int w.w_done);
-          ("telemetry_frames", J.Int w.w_tele) ]
-    in
-    J.Obj
-      ([ ("schema", J.String "ise-fabric-status/v1");
-         ("run_id", J.String (Ise_obs.Runinfo.run_id ()));
-         ("ts_us", J.Int (now_us ()));
-         ("shards", J.Int nshards); ("done", J.Int done_);
-         ("wall_s", J.Float elapsed);
-         ("shards_per_s", J.Float rate);
-         ("eta_s", J.Float eta);
-         ("ewma_ms", J.Float (Plan.mean ewma *. 1e3));
-         ( "counters",
-           J.Obj
-             [ ("dispatched", J.Int !dispatched);
-               ("redispatched", J.Int !redispatched);
-               ("store_hits", J.Int !store_hits);
-               ("inline", J.Int !inline_runs);
-               ("worker_losses", J.Int !worker_losses);
-               ("rejoins", J.Int (Registry.rejoins registry));
-               ("pings", J.Int !pings);
-               ("hb_losses", J.Int !hb_losses);
-               ("telemetry_frames", J.Int !tele_frames) ] );
-         ("workers", J.List (List.map worker_json !workers)) ]
-      @
-      match obs.metrics with
-      | Some reg -> [ ("metrics", Ise_telemetry.Registry.to_json reg) ]
-      | None -> [])
-  in
-  let emit_status () =
-    if status_enabled then begin
-      let doc = status_json () in
-      (match obs.status_out with
-       | Some path ->
-         let tmp = path ^ ".tmp" in
-         (try
-            let oc = open_out_bin tmp in
-            output_string oc (Ise_telemetry.Json.to_string doc);
-            output_char oc '\n';
-            close_out oc;
-            Sys.rename tmp path
-          with Sys_error _ -> ())
-       | None -> ());
-      obs.on_status doc
-    end
-  in
-  let last_status = ref 0. in
-  let maybe_status () =
-    if status_enabled then begin
-      let now = Unix.gettimeofday () in
-      if now -. !last_status >= obs.status_period_s then begin
-        last_status := now;
-        emit_status ()
-      end
-    end
-  in
   (* main loop: dispatch, multiplex, watch stragglers and liveness,
      re-admit returning workers *)
   let revive_budget = ref 3 in
@@ -791,8 +626,7 @@ let run cfg campaign =
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         redispatch_stragglers ();
         heartbeats ();
-        rejoin_probes ();
-        maybe_status ()
+        rejoin_probes ()
       end
     done;
     (* every worker is down: sweep all Down paths once (backoff
@@ -859,30 +693,6 @@ let run cfg campaign =
       | path :: _ -> ignore (add_worker ~retries:0 path)
     done
   end;
-  (* trailing telemetry: a worker sends its last delta right after its
-     final Shard_done, which usually lands after the drive loop has
-     already drained — sweep the sockets briefly so the aggregate
-     registry sees every shard.  Results are complete; this is
-     read-only and bounded. *)
-  if obs.stream && !tele_frames > 0 then begin
-    let deadline = Unix.gettimeofday () +. 0.25 in
-    let continue = ref true in
-    while !continue && Unix.gettimeofday () < deadline do
-      match List.map (fun w -> w.w_fd) (live ()) with
-      | [] -> continue := false
-      | fds -> (
-        match Unix.select fds [] [] 0.05 with
-        | [], _, _ -> continue := false
-        | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun w -> w.w_fd = fd) (live ()) with
-              | Some w -> handle_readable w
-              | None -> ())
-            readable
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    done
-  end;
   List.iter
     (fun w ->
       if not w.w_dead then begin
@@ -890,7 +700,6 @@ let run cfg campaign =
         (try Unix.close w.w_fd with Unix.Unix_error _ -> ())
       end)
     !workers;
-  emit_status ();
   let outcomes =
     Array.map
       (function Some o -> o | None -> Shard_lost "unreachable")
@@ -909,6 +718,5 @@ let run cfg campaign =
       f_rejoins = Registry.rejoins registry;
       f_pings = !pings;
       f_hb_losses = !hb_losses;
-      f_telemetry_frames = !tele_frames;
       f_wall_s = Unix.gettimeofday () -. t0;
     } )

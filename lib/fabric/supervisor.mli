@@ -54,36 +54,6 @@ val default_liveness : liveness
     dispatch timeout, 2 s heartbeats with budget 3, 1 s rejoin
     backoff. *)
 
-(** The observability plane, all off by default.  Strictly read-only
-    with respect to results: streaming, tracing and status snapshots
-    change what the supervisor {e records}, never what it dispatches,
-    retries or merges — campaign output stays byte-identical with
-    everything enabled. *)
-type observe = {
-  stream : bool;
-      (** set [j_stream] on every job and absorb the
-          {!Wire.Telemetry} frames they send back *)
-  metrics : Ise_telemetry.Registry.t option;
-      (** live aggregate sink: absorbed worker deltas plus the
-          supervisor's own [fabric/*] counters *)
-  trace : Ise_telemetry.Trace.t option;
-      (** dispatch spans (wall-clock µs).  When set, workers receive
-          a [j_ctx] and parent their shard spans under the
-          dispatch span — the raw material for [ise trace stitch] *)
-  trace_id : string;  (** campaign trace id shipped in every [j_ctx] *)
-  status_out : string option;
-      (** path for the periodic [ise-fabric-status/v1] JSON snapshot,
-          written atomically (tmp + rename) every [status_period_s]
-          and once more after the campaign drains *)
-  status_period_s : float;
-  on_status : Ise_telemetry.Json.t -> unit;
-      (** in-process status consumer (the [--top] renderer); fired on
-          the same cadence as [status_out] *)
-}
-
-val default_observe : observe
-(** No streaming, no sinks, 0.5 s status period. *)
-
 type config = {
   workers : string list;  (** worker socket paths *)
   window : int;  (** max shards in flight per worker *)
@@ -103,7 +73,13 @@ type config = {
           many seconds before returning — soak runs use it so the
           rejoin assertion cannot race a short campaign.  Results are
           unaffected; only wall clock extends.  Default 0 (off). *)
-  observe : observe;
+  trace : (string * Ise_telemetry.Trace.t) option;
+      (** [(trace_id, sink)]: record dispatch spans (wall-clock µs) in
+          [sink] and send every worker a [j_ctx] carrying [trace_id],
+          so it parents its shard spans under the dispatch span — the
+          raw material for [ise trace stitch].  Read-only with respect
+          to results: campaign output is byte-identical with tracing
+          on.  Default [None] *)
   on_shard_done : int -> unit;
       (** fired once per shard on first completion (tests use it to
           kill workers mid-campaign) *)
@@ -113,7 +89,7 @@ type config = {
 val default_config : workers:string list -> config
 (** window 2, shards [4 × workers], straggler factor 4.0 / floor
     0.5 s, {!default_liveness}, no required minimum, 64 MiB payloads,
-    no store, silent. *)
+    no store, no tracing, silent. *)
 
 exception Insufficient_workers of { wanted : int; got : int }
 
@@ -134,7 +110,6 @@ type stats = {
   f_rejoins : int;  (** Down paths re-admitted mid-campaign *)
   f_pings : int;  (** heartbeat pings sent *)
   f_hb_losses : int;  (** losses declared by heartbeat/unresponsiveness *)
-  f_telemetry_frames : int;  (** {!Wire.Telemetry} frames absorbed *)
   f_wall_s : float;
 }
 

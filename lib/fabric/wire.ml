@@ -1,9 +1,12 @@
 open Ise_fuzz
 module Codec = Ise_pool.Codec
 
-(* Never equal to Ise_serve.Proto.version: the protocol byte is what
-   tells a fabric frame from a serve frame. *)
-let version = 3
+(* Bumped whenever a message's marshalled shape changes, to a value no
+   earlier fabric or serve build spoke (fabric 1-3, serve 2, 4 and 5):
+   both protocols share frame layout, envelope and Hello shape, so the
+   protocol byte is all that refuses an old or foreign peer, at its
+   first frame. *)
+let version = 6
 
 type campaign =
   | Fuzz of Campaign.spec
@@ -24,14 +27,13 @@ type job = {
   j_ctx : (string * string) option;
       (* (trace_id, dispatch span id): the worker parents its shard
          span under the supervisor's dispatch span *)
-  j_stream : bool;  (* stream Telemetry frames after this shard *)
 }
 
 let plain_job ~shard ~lo ~hi =
-  { j_shard = shard; j_lo = lo; j_hi = hi; j_ctx = None; j_stream = false }
+  { j_shard = shard; j_lo = lo; j_hi = hi; j_ctx = None }
 
 type request =
-  | Hello of { proto : int; git_rev : string }
+  | Hello of { git_rev : string }
   | Set_spec of campaign
   | Run of job
   | Ping of int
@@ -56,20 +58,13 @@ type worker_stats = {
   ws_uptime_s : float;
 }
 
-type telemetry_update = {
-  tu_pid : int;
-  tu_seq : int;
-  tu_metrics : Ise_telemetry.Registry.drained;
-}
-
 type response =
-  | Hello_ok of { proto : int; git_rev : string; pid : int }
+  | Hello_ok of { git_rev : string; pid : int }
   | Spec_ok
   | Pong of int
   | Shard_done of shard_result
   | Shard_failed of { shard : int; reason : string }
   | Worker_stats of worker_stats
-  | Telemetry of telemetry_update
   | Shutting_down
   | Error of Ise_serve.Framed.err_kind * string
 

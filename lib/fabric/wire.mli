@@ -8,13 +8,12 @@
     {!Ise_serve.Framed.err_kind} error frames for anything malformed.
 
     {b Versioning.}  One version per build, checked by strict
-    equality: on every frame's protocol byte and in {!Hello}.
+    equality on every frame's protocol byte, and nowhere else.
     Supervisor and workers are the same [ise] executable image —
     payloads are [Marshal]ed — so there is no older peer to negotiate
-    with; a peer of another version is refused with
-    [Unsupported_proto].  Liveness ({!Ping}/{!Pong}), trace context
-    and streaming {!Telemetry} are therefore available on every
-    connection.
+    with; a frame of another version is refused with
+    [Unsupported_proto].  Liveness ({!Ping}/{!Pong}) and trace
+    context are therefore available on every connection.
 
     A connection carries one campaign: the supervisor sends
     {!Set_spec} once — the full {!campaign} description, from which
@@ -26,7 +25,7 @@
 open Ise_fuzz
 
 val version : int
-(** The fabric protocol version this build speaks (3).  It never
+(** The fabric protocol version this build speaks (6).  It never
     equals {!Ise_serve.Proto.version}, so a fabric frame sent to a
     serve daemon (or the reverse) is refused by its protocol byte. *)
 
@@ -52,18 +51,14 @@ type job = {
       (** [(trace_id, dispatch_span_id)] — the worker parents its
           shard span under the supervisor's dispatch span.  [None]
           when tracing is off *)
-  j_stream : bool;
-      (** ask the worker to follow Shard_done / Pong with a
-          {!Telemetry} delta-snapshot *)
 }
 
 val plain_job : shard:int -> lo:int -> hi:int -> job
-(** A job with no observability fields set. *)
+(** A job with no trace context. *)
 
 type request =
-  | Hello of { proto : int; git_rev : string }
-      (** mandatory first request of every connection; refused with
-          [Unsupported_proto] unless [proto = version] *)
+  | Hello of { git_rev : string }
+      (** mandatory first request of every connection *)
   | Set_spec of campaign  (** the campaign; must precede any {!Run} *)
   | Run of job
   | Ping of int
@@ -90,27 +85,14 @@ type worker_stats = {
   ws_uptime_s : float;
 }
 
-type telemetry_update = {
-  tu_pid : int;  (** sender's pid, for per-worker attribution *)
-  tu_seq : int;  (** per-worker monotonic sequence number *)
-  tu_metrics : Ise_telemetry.Registry.drained;
-      (** delta since the worker's previous drain *)
-}
-
 type response =
-  | Hello_ok of { proto : int; git_rev : string; pid : int }
-      (** [proto] is the worker's {!version} *)
+  | Hello_ok of { git_rev : string; pid : int }
   | Spec_ok
   | Pong of int
   | Shard_done of shard_result
   | Shard_failed of { shard : int; reason : string }
       (** the shard's checks raised; the supervisor re-dispatches *)
   | Worker_stats of worker_stats
-  | Telemetry of telemetry_update
-      (** unsolicited delta-snapshot, sent after Shard_done/Pong
-          when the campaign streams.  Observability-only — the
-          supervisor folds it into live aggregates and it never
-          touches the result path *)
   | Shutting_down
   | Error of Ise_serve.Framed.err_kind * string
       (** typed error frame; the worker closes the connection after

@@ -1,7 +1,6 @@
 open Ise_fuzz
 module Framed = Ise_serve.Framed
 module Trace = Ise_telemetry.Trace
-module Registry = Ise_telemetry.Registry
 module Json = Ise_telemetry.Json
 
 type config = {
@@ -44,10 +43,7 @@ type t = {
   cfg : config;
   framed : Framed.t;
   started : float;
-  registry : Registry.t;  (* drained into Telemetry frames *)
   trace : Trace.t;  (* wall-clock µs shard spans, written to trace_out *)
-  mutable stream : bool;  (* the supervisor asked for Telemetry frames *)
-  mutable tele_seq : int;
   mutable campaign : Wire.campaign option;
   mutable shards_run : int;
   mutable pings : int;
@@ -59,10 +55,7 @@ let create cfg =
     cfg;
     framed = Framed.create ~socket_path:cfg.socket_path ();
     started = Unix.gettimeofday ();
-    registry = Registry.create ();
     trace = Trace.create ();
-    stream = false;
-    tele_seq = 0;
     campaign = None;
     shards_run = 0;
     pings = 0;
@@ -108,20 +101,6 @@ let flush_trace t =
        Sys.rename tmp path
      with Sys_error _ -> ())
 
-(* Delta-snapshot frame: everything the registry accumulated since the
-   previous drain.  Observability-only — losing one (dead supervisor,
-   faulted wire) loses a little visibility, never a result. *)
-let send_telemetry t conn =
-  if t.stream then begin
-    let d = Registry.drain t.registry in
-    if d <> [] then begin
-      t.tele_seq <- t.tele_seq + 1;
-      send t conn
-        (Wire.Telemetry
-           { tu_pid = Unix.getpid (); tu_seq = t.tele_seq; tu_metrics = d })
-    end
-  end
-
 let send_error t conn kind msg =
   t.errors <- t.errors + 1;
   t.cfg.log (Printf.sprintf "error to supervisor: %s (%s)"
@@ -158,12 +137,10 @@ let run_shard t campaign (j : Wire.job) =
      Trace.span_begin t.trace ~cat:"fabric"
        ~args:[ ("lo", Json.Int j.Wire.j_lo); ("hi", Json.Int j.Wire.j_hi) ]
        ~ctx:c ~name:span_name ~tid:0 now);
-  let started = Unix.gettimeofday () in
   let result =
     try Ok (check campaign ~lo:j.Wire.j_lo ~hi:j.Wire.j_hi)
     with e -> Error (Printexc.to_string e)
   in
-  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1e3 in
   (match ctx with
    | None -> ()
    | Some c ->
@@ -174,28 +151,17 @@ let run_shard t campaign (j : Wire.job) =
   | Error reason -> Wire.Shard_failed { shard = j.Wire.j_shard; reason }
   | Ok payload ->
     t.shards_run <- t.shards_run + 1;
-    Registry.incr (Registry.counter t.registry "fabric/worker/shards_done");
-    Ise_util.Stats.add
-      (Registry.histogram t.registry "fabric/worker/shard_ms")
-      elapsed_ms;
     Wire.Shard_done
       { sr_shard = j.Wire.j_shard; sr_lo = j.Wire.j_lo; sr_hi = j.Wire.j_hi;
         sr_payload = payload }
 
 let handle_request t conn (req : Wire.request) =
   match req with
-  | Wire.Hello { proto; git_rev = _ } ->
-    if proto <> Wire.version then
-      send_error t conn Framed.Unsupported_proto
-        (Printf.sprintf "worker speaks fabric protocol v%d, peer sent v%d"
-           Wire.version proto)
-    else begin
-      Framed.mark_hello conn;
-      send t conn
-        (Wire.Hello_ok
-           { proto = Wire.version; git_rev = Ise_obs.Runinfo.git_rev ();
-             pid = Unix.getpid () })
-    end
+  | Wire.Hello { git_rev = _ } ->
+    Framed.mark_hello conn;
+    send t conn
+      (Wire.Hello_ok
+         { git_rev = Ise_obs.Runinfo.git_rev (); pid = Unix.getpid () })
   | _ when not (Framed.hello_done conn) ->
     send_error t conn Framed.Bad_request "first request must be Hello"
   | Wire.Set_spec campaign -> (
@@ -227,10 +193,7 @@ let handle_request t conn (req : Wire.request) =
     | Error msg -> send_error t conn Framed.Bad_request msg)
   | Wire.Ping token ->
     t.pings <- t.pings + 1;
-    Registry.incr (Registry.counter t.registry "fabric/worker/pings");
-    send t conn (Wire.Pong token);
-    (* an idle streaming worker piggybacks its deltas on heartbeats *)
-    send_telemetry t conn
+    send t conn (Wire.Pong token)
   | Wire.Run j -> (
     match t.campaign with
     | None ->
@@ -239,11 +202,8 @@ let handle_request t conn (req : Wire.request) =
       t.cfg.log
         (Printf.sprintf "shard %d: units [%d, %d)" j.Wire.j_shard
            j.Wire.j_lo j.Wire.j_hi);
-      if j.Wire.j_stream then t.stream <- true;
       match run_shard t campaign j with
-      | resp ->
-        send t conn resp;
-        send_telemetry t conn
+      | resp -> send t conn resp
       | exception e ->
         send_error t conn Framed.Internal (Printexc.to_string e))
   | Wire.Worker_stats_req -> send t conn (Wire.Worker_stats (stats t))

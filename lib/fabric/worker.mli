@@ -10,17 +10,13 @@
     {!Ise_fabric.Netchaos.Mutate} can produce decodes to a typed
     error, an error frame, or a clean close.
 
-    Protocol: the worker speaks exactly {!Wire.version}.  A Hello of
-    any other version is refused with [Unsupported_proto], and every
-    request payload is {!Ise_pool.Codec.unseal}ed, so a payload that
-    fails its digest or its structural check is a [Malformed_frame]
-    error rather than a crash (a well-formed value of the wrong type
-    is not detected; see {!Ise_pool.Codec}).  {!Wire.Ping} is answered with {!Wire.Pong}.
-    A job with [j_stream] set switches the worker into streaming
-    mode: after every Shard_done (and after every Pong while idle) it
-    sends one {!Wire.Telemetry} frame carrying the delta of its
-    metrics registry since the previous drain — shards done, shard
-    wall-clock histogram and pings.
+    Protocol: the worker speaks exactly {!Wire.version}.  A frame
+    whose protocol byte is any other version is refused with
+    [Unsupported_proto], and every request payload is
+    {!Ise_pool.Codec.unseal}ed, so a payload that fails its digest or
+    its structural check is a [Malformed_frame] error rather than a
+    crash (a well-formed value of the wrong type is not detected; see
+    {!Ise_pool.Codec}).  {!Wire.Ping} is answered with {!Wire.Pong}.
 
     Work model: {!Wire.Set_spec} installs the campaign — fuzz
     ({!Ise_fuzz.Campaign.check_range}) or chaos

@@ -30,9 +30,7 @@ let connect ?(retries = 0) path =
   | Error _ as e -> e
   | Ok t -> (
     match
-      rpc t
-        (Proto.Hello
-           { proto = Proto.version; git_rev = Ise_obs.Runinfo.git_rev () })
+      rpc t (Proto.Hello { git_rev = Ise_obs.Runinfo.git_rev () })
     with
     | Ok (Proto.Hello_ok _) -> Ok t
     | Ok (Proto.Error (kind, msg)) ->
@@ -60,14 +58,6 @@ let server_stats t =
   | Ok (Proto.Error (kind, msg)) ->
     Error (Printf.sprintf "%s (%s)" (Proto.err_name kind) msg)
   | Ok _ -> Error "unexpected response to stats request"
-  | Error _ as e -> e
-
-let metrics t =
-  match rpc t Proto.Metrics_req with
-  | Ok (Proto.Metrics text) -> Ok text
-  | Ok (Proto.Error (kind, msg)) ->
-    Error (Printf.sprintf "%s (%s)" (Proto.err_name kind) msg)
-  | Ok _ -> Error "unexpected response to metrics request"
   | Error _ as e -> e
 
 let shutdown t =

@@ -27,9 +27,5 @@ val litmus :
 
 val server_stats : t -> (Proto.server_stats, string) result
 
-val metrics : t -> (string, string) result
-(** Prometheus text-format dump of the daemon's counters and store
-    view. *)
-
 val shutdown : t -> (unit, string) result
 (** Asks the daemon to drain and exit. *)

@@ -1,15 +1,14 @@
 open Ise_litmus
 
-(* v2 added Metrics_req / Metrics (Prometheus text exposition); v4
-   seals every payload (Codec.seal).  The handshake is strict
-   equality, and daemon and client ship in the same executable image,
-   so a bump is safe: there is no mixed-version serve deployment to
-   stay compatible with.  v3 is skipped because it is the fabric's
-   [Wire.version]: both protocols use the same frame layout, envelope
-   and Hello shape, so the protocol byte is all that tells a serve
-   frame from a fabric one, and the two versions must never be
-   equal. *)
-let version = 4
+(* The frame's protocol byte is the only version check, by strict
+   equality.  Daemon and client ship in the same executable image, so a
+   bump is safe: there is no mixed-version serve deployment to stay
+   compatible with.  Bumped whenever a message's marshalled shape
+   changes, to a value no earlier serve or fabric build spoke (serve 2
+   and 4, fabric 1-3 and 6): both protocols use the same frame layout,
+   envelope and Hello shape, so the protocol byte is all that tells a
+   serve frame from a fabric one. *)
+let version = 5
 let store_abi = Cache.store_abi
 
 (* ------------------------------------------------------------------ *)
@@ -93,11 +92,10 @@ let replay_payload_of_string s : (unit, string) result option =
 (* messages                                                            *)
 
 type request =
-  | Hello of { proto : int; git_rev : string }
+  | Hello of { git_rev : string }
   | Litmus of { tests : Lit_test.t list; params : run_params }
   | Fuzz_replay of { entry : Ise_fuzz.Corpus.entry; seeds : int }
   | Stats_req
-  | Metrics_req
   | Shutdown
 
 type litmus_reply = { r_line : string; r_pass : bool; r_cached : bool }
@@ -133,11 +131,10 @@ type err_kind = Framed.err_kind =
 let err_name = Framed.err_name
 
 type response =
-  | Hello_ok of { proto : int; git_rev : string }
+  | Hello_ok of { git_rev : string }
   | Litmus_done of litmus_reply list
   | Replay_done of { result : (unit, string) result; cached : bool }
   | Stats of server_stats
-  | Metrics of string
   | Shutting_down
   | Error of err_kind * string
 

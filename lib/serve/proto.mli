@@ -15,8 +15,7 @@
       is not detected: peers are the same image, see
       {!Ise_pool.Codec});
     - the first request on a connection must be {!Hello}, carrying the
-      client's protocol version and git revision; the daemon rejects
-      any version but its own with [Unsupported_proto].
+      client's git revision.
 
     Cache keys pair {!Ise_litmus.Lit_test.fingerprint} (what program)
     with a configuration fingerprint (how it was run): machine
@@ -33,8 +32,10 @@
 open Ise_litmus
 
 val version : int
-(** Application-protocol version (4), carried in the Codec protocol
-    byte and in {!Hello}.  It never equals the fabric's
+(** Application-protocol version (5), carried in the Codec protocol
+    byte of every frame and checked there only, by strict equality;
+    any other version is refused with [Unsupported_proto].  It never
+    equals the fabric's
     [Ise_fabric.Wire.version]: the two protocols share frame layout,
     envelope and Hello shape, so the protocol byte is what refuses a
     client that dialled the wrong kind of socket. *)
@@ -89,14 +90,11 @@ val replay_payload_of_string : string -> (unit, string) result option
 (** {1 Requests} *)
 
 type request =
-  | Hello of { proto : int; git_rev : string }
+  | Hello of { git_rev : string }
       (** mandatory first request of every connection *)
   | Litmus of { tests : Lit_test.t list; params : run_params }
   | Fuzz_replay of { entry : Ise_fuzz.Corpus.entry; seeds : int }
   | Stats_req
-  | Metrics_req
-      (** ask for a Prometheus text-format dump of the daemon's
-          metrics — the scrapable face of {!server_stats} *)
   | Shutdown  (** ask the daemon to drain and exit *)
 
 (** {1 Responses} *)
@@ -139,14 +137,10 @@ type err_kind = Framed.err_kind =
 val err_name : err_kind -> string
 
 type response =
-  | Hello_ok of { proto : int; git_rev : string }
+  | Hello_ok of { git_rev : string }
   | Litmus_done of litmus_reply list  (** in request order *)
   | Replay_done of { result : (unit, string) result; cached : bool }
   | Stats of server_stats
-  | Metrics of string
-      (** Prometheus text exposition
-          ({!Ise_telemetry.Registry.to_prometheus}) of the daemon's
-          counters and store view *)
   | Shutting_down
   | Error of err_kind * string
       (** typed error frame; the daemon closes the connection after

@@ -109,35 +109,6 @@ let stats t = {
   ss_store = store_view t;
 }
 
-(* Prometheus exposition: the daemon's lifetime counters and store
-   view rendered through a throwaway registry, so the text format and
-   name sanitization live in exactly one place
-   (Ise_telemetry.Registry.to_prometheus). *)
-let metrics_text t =
-  let reg = Ise_telemetry.Registry.create () in
-  let setc n v =
-    Ise_telemetry.Registry.set_counter (Ise_telemetry.Registry.counter reg n) v
-  in
-  let setg n v =
-    Ise_telemetry.Registry.set (Ise_telemetry.Registry.gauge reg n) v
-  in
-  setg "serve/uptime_s" (Unix.gettimeofday () -. t.started);
-  setc "serve/connections" (Framed.connections t.framed);
-  setc "serve/requests" t.requests;
-  setc "serve/litmus_runs" t.litmus_runs;
-  setc "serve/replays" t.replays;
-  setc "serve/errors" t.errors;
-  (match store_view t with
-   | None -> ()
-   | Some v ->
-     setc "serve/store/mem_hits" v.Proto.v_mem_hits;
-     setc "serve/store/disk_hits" v.Proto.v_disk_hits;
-     setc "serve/store/misses" v.Proto.v_misses;
-     setc "serve/store/writes" v.Proto.v_writes;
-     setc "serve/store/corrupt_skipped" v.Proto.v_corrupt_skipped;
-     setc "serve/store/mem_evictions" v.Proto.v_mem_evictions);
-  Ise_telemetry.Registry.to_prometheus reg
-
 let request_drain t = Framed.request_drain t.framed
 let install_signal_handlers t = Framed.install_signal_handlers t.framed
 
@@ -255,17 +226,9 @@ let send t conn resp =
 let handle_request t conn (req : Proto.request) =
   t.requests <- t.requests + 1;
   match req with
-  | Proto.Hello { proto; git_rev = _ } ->
-    if proto <> Proto.version then
-      send_error t conn Proto.Unsupported_proto
-        (Printf.sprintf "daemon speaks protocol v%d, client sent v%d"
-           Proto.version proto)
-    else begin
-      Framed.mark_hello conn;
-      send t conn
-        (Proto.Hello_ok
-           { proto = Proto.version; git_rev = Ise_obs.Runinfo.git_rev () })
-    end
+  | Proto.Hello { git_rev = _ } ->
+    Framed.mark_hello conn;
+    send t conn (Proto.Hello_ok { git_rev = Ise_obs.Runinfo.git_rev () })
   | _ when not (Framed.hello_done conn) ->
     send_error t conn Proto.Bad_request "first request must be Hello"
   | Proto.Litmus { tests; params } -> (
@@ -279,7 +242,6 @@ let handle_request t conn (req : Proto.request) =
     | exception e ->
       send_error t conn Proto.Internal (Printexc.to_string e))
   | Proto.Stats_req -> send t conn (Proto.Stats (stats t))
-  | Proto.Metrics_req -> send t conn (Proto.Metrics (metrics_text t))
   | Proto.Shutdown ->
     send t conn Proto.Shutting_down;
     t.cfg.log "shutdown requested by client";

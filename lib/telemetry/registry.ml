@@ -98,63 +98,6 @@ let reset t =
     t.metrics
 
 (* ------------------------------------------------------------------ *)
-(* Delta snapshots                                                     *)
-
-(* Counters and histograms drain (read-and-reset) so successive drains
-   ship only what happened since the last one; gauges are absolute and
-   are left in place.  The receiver [absorb]s deltas into its own
-   registry, accumulating counters and re-adding raw histogram samples
-   — which is what makes supervisor-side percentiles exact rather than
-   a merge of per-worker summaries. *)
-
-type dvalue =
-  | D_counter of int
-  | D_gauge of float
-  | D_histogram of float array
-
-type drained = (string * dvalue) list
-
-let drain t =
-  let out =
-    Hashtbl.fold
-      (fun name m acc ->
-        match m with
-        | Counter c ->
-          if c.c_value = 0 then acc
-          else begin
-            let v = c.c_value in
-            c.c_value <- 0;
-            (name, D_counter v) :: acc
-          end
-        | Gauge g -> (name, D_gauge g.g_value) :: acc
-        | Histogram h ->
-          if Ise_util.Stats.count h = 0 then acc
-          else begin
-            let s = Ise_util.Stats.samples h in
-            Ise_util.Stats.clear h;
-            (name, D_histogram s) :: acc
-          end)
-      t.metrics []
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) out
-
-let absorb t d =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | D_counter n -> add (counter t name) n
-      | D_gauge g -> set (gauge t name) g
-      | D_histogram s ->
-        let h = histogram t name in
-        Array.iter (Ise_util.Stats.add h) s)
-    d
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.metrics name with
-  | Some (Histogram h) -> Some h
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Emitters                                                            *)
 
 let pp_text ppf t =
@@ -187,58 +130,6 @@ let to_csv t =
         Buffer.add_string b
           (Printf.sprintf "%s,histogram,,%d,%g,%g,%g,%g,%g,%g\n" name h.s_count
              h.s_mean h.s_min h.s_p50 h.s_p90 h.s_p99 h.s_max))
-    (snapshot t);
-  Buffer.contents b
-
-(* Prometheus text exposition format 0.0.4.  Hierarchical slash names
-   become underscore names under an [ise_] prefix; histograms render
-   as summaries (quantile series + _sum + _count) computed from the
-   raw samples, so p999 is available to scrapers even though the
-   internal [summary] record stops at p99. *)
-let prom_name name =
-  let b = Buffer.create (String.length name + 4) in
-  Buffer.add_string b "ise_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    name;
-  Buffer.contents b
-
-let prom_float f =
-  if Float.is_nan f then "NaN"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
-
-let to_prometheus t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, s) ->
-      let pn = prom_name name in
-      match s with
-      | Snap_counter v ->
-        Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" pn);
-        Buffer.add_string b (Printf.sprintf "%s %d\n" pn v)
-      | Snap_gauge v ->
-        Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" pn);
-        Buffer.add_string b (Printf.sprintf "%s %s\n" pn (prom_float v))
-      | Snap_histogram _ ->
-        (match find_histogram t name with
-        | None -> ()
-        | Some h ->
-          let open Ise_util.Stats in
-          Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" pn);
-          List.iter
-            (fun q ->
-              Buffer.add_string b
-                (Printf.sprintf "%s{quantile=\"%g\"} %s\n" pn (q /. 100.)
-                   (prom_float (percentile h q))))
-            [ 50.; 90.; 99.; 99.9 ];
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" pn (prom_float (total h)));
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" pn (count h))))
     (snapshot t);
   Buffer.contents b
 

@@ -61,30 +61,6 @@ val reset : t -> unit
 (** Zeroes counters and gauges and clears histograms; handles stay
     valid. *)
 
-(** {1 Delta snapshots}
-
-    The streaming-telemetry building blocks: a worker periodically
-    {!drain}s its registry (read-and-reset for counters and
-    histograms; gauges are absolute and left in place) and ships the
-    delta; the supervisor {!absorb}s each delta into its own registry.
-    Because histogram deltas carry raw samples, absorbed percentiles
-    are exact, not a merge of summaries. *)
-
-type dvalue =
-  | D_counter of int  (** increments since the previous drain *)
-  | D_gauge of float  (** absolute *)
-  | D_histogram of float array  (** raw samples since the previous drain *)
-
-type drained = (string * dvalue) list
-(** Sorted by name; zero counters and empty histograms are omitted. *)
-
-val drain : t -> drained
-val absorb : t -> drained -> unit
-
-val find_histogram : t -> string -> Ise_util.Stats.t option
-(** The raw accumulator behind a registered histogram, if any — for
-    quantiles beyond the fixed {!summary} set (e.g. p999). *)
-
 (** {1 Emitters} *)
 
 val pp_text : Format.formatter -> t -> unit
@@ -93,9 +69,3 @@ val to_csv : t -> string
     and gauges leave the histogram columns empty. *)
 
 val to_json : t -> Json.t
-
-val to_prometheus : t -> string
-(** Prometheus text exposition (format 0.0.4).  Names are prefixed
-    [ise_] and sanitized to [\[a-zA-Z0-9_:\]]; counters and gauges map
-    directly, histograms render as summaries with quantiles 0.5 / 0.9
-    / 0.99 / 0.999 plus [_sum] and [_count]. *)

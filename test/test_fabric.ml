@@ -259,8 +259,8 @@ let test_wire_hostility_decode () =
      without crashing is the assertion. *)
   let bases =
     [ Codec.marshal
-        (Wire.Hello_ok { proto = Wire.version; git_rev = "cafe"; pid = 42 });
-      Codec.marshal (Wire.Hello { proto = Wire.version; git_rev = "cafe" });
+        (Wire.Hello_ok { git_rev = "cafe"; pid = 42 });
+      Codec.marshal (Wire.Hello { git_rev = "cafe" });
       Codec.marshal Wire.Spec_ok;
       Codec.marshal
         (Wire.Shard_done
@@ -319,8 +319,7 @@ let expect_err fd kind =
   | Error msg -> Alcotest.failf "no error frame: %s" msg
 
 let hello fd =
-  Wire.write_request fd
-    (Wire.Hello { proto = Wire.version; git_rev = "test" });
+  Wire.write_request fd (Wire.Hello { git_rev = "test" });
   match Wire.read_response fd with
   | Ok (Wire.Hello_ok _) -> ()
   | Ok _ -> Alcotest.fail "expected Hello_ok"
@@ -341,12 +340,13 @@ let test_worker_hello_discipline () =
         Wire.write_request fd Wire.Worker_stats_req;
         expect_err fd Framed.Bad_request;
         Unix.close fd;
-        (* a Hello of any other version — newer or older — is refused
-           by name: there is no negotiation *)
+        (* a valid Hello in a frame of any other version — newer or
+           older — is refused by its protocol byte: there is no
+           negotiation and no second check *)
         List.iter
           (fun proto ->
             let fd = raw_connect socket in
-            Wire.write_request fd (Wire.Hello { proto; git_rev = "test" });
+            Codec.write_sealed ~proto fd (Wire.Hello { git_rev = "test" });
             expect_err fd Framed.Unsupported_proto;
             Unix.close fd)
           [ Wire.version + 1; Wire.version - 1 ];
@@ -357,8 +357,7 @@ let test_worker_hello_discipline () =
         checkb "serve and fabric protocol bytes differ" true
           (Proto.version <> Wire.version);
         let fd = raw_connect socket in
-        Proto.write_request fd
-          (Proto.Hello { proto = Proto.version; git_rev = "test" });
+        Proto.write_request fd (Proto.Hello { git_rev = "test" });
         expect_err fd Framed.Unsupported_proto;
         Unix.close fd;
         (* Run before Set_spec is a Bad_request, not a crash *)
@@ -481,7 +480,7 @@ let test_worker_wire_hostility () =
         let bases =
           Array.map
             (fun req -> Codec.encode ~proto:Wire.version (Codec.seal req))
-            [| Wire.Hello { proto = Wire.version; git_rev = "t" };
+            [| Wire.Hello { git_rev = "t" };
                Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:1);
                Wire.Worker_stats_req |]
         in
@@ -703,9 +702,7 @@ let spawn_silent_worker path =
             (match Codec.read_frame_ext fd with
              | Ok _ ->
                Wire.write_response fd
-                 (Wire.Hello_ok
-                    { proto = Wire.version; git_rev = "silent";
-                      pid = Unix.getpid () });
+                 (Wire.Hello_ok { git_rev = "silent"; pid = Unix.getpid () });
                (match Codec.read_frame_ext fd with
                 | Ok _ -> Wire.write_response fd Wire.Spec_ok
                 | Error _ -> ())
@@ -810,111 +807,36 @@ let test_netchaos_fault_identity () =
           (Netchaos.calm :: Netchaos.all))
 
 (* ------------------------------------------------------------------ *)
-(* observability plane                                                 *)
+(* fleet tracing                                                       *)
 
 module Json = Ise_telemetry.Json
-module Registry_t = Ise_telemetry.Registry
 module Trace_t = Ise_telemetry.Trace
-
-let test_fabric_streaming_observability () =
-  if not (requires_fork ()) then ()
-  else
-    let spec = Campaign.spec ~count:24 ~seeds_per_test:4 ~seed:11 () in
-    let reference = reference_run spec ~log:ignore in
-    let trace_dir = tmp_dir () in
-    with_sim ~n:4 ~trace_dir (fun sim ->
-        let reg = Registry_t.create () in
-        let tr = Trace_t.create () in
-        let status_path = Filename.concat trace_dir "status.json" in
-        let statuses = ref 0 in
-        let observe =
-          { Supervisor.stream = true;
-            metrics = Some reg;
-            trace = Some tr;
-            trace_id = "t-obs";
-            status_out = Some status_path;
-            status_period_s = 0.02;
-            on_status = (fun _ -> incr statuses);
-          }
-        in
-        let cfg =
-          { (Supervisor.default_config ~workers:(Sim.sockets sim)) with
-            Supervisor.shards = Some 16;
-            observe;
-          }
-        in
-        let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
-        (* the headline property: telemetry is never on the result
-           path — full streaming changes nothing in the merge *)
-        let merged = Merge.merge spec ~ranges ~outcomes in
-        checkb "byte-identical with streaming on" true
-          (fingerprint ~seed:11 merged.Merge.m_report
-          = fingerprint ~seed:11 reference);
-        checkb "telemetry frames absorbed" true
-          (stats.Supervisor.f_telemetry_frames > 0);
-        checkb "status callback fired" true (!statuses >= 1);
-        (* worker delta-snapshots accumulated into the live aggregate *)
-        checkb "fleet shard completions" true
-          (Registry_t.value
-             (Registry_t.counter reg "fabric/worker/shards_done")
-           >= 16);
-        (match Registry_t.find_histogram reg "fabric/worker/shard_ms" with
-         | None -> Alcotest.fail "no aggregated shard-latency histogram"
-         | Some st ->
-           checkb "latency samples streamed" true
-             (Ise_util.Stats.count st >= 16);
-           (* raw samples travel, so fleet-wide tail quantiles exist *)
-           checkb "p999 computable" true
-             (Ise_util.Stats.percentile st 99.9 >= 0.));
-        (* the final snapshot validates against ise-fabric-status/v1 *)
-        let ic = open_in_bin status_path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let doc =
-          match Json.of_string text with
-          | Ok d -> d
-          | Error e -> Alcotest.failf "status does not parse: %s" e
-        in
-        let geti k =
-          Option.value (Option.bind (Json.member k doc) Json.to_int)
-            ~default:(-1)
-        in
-        checks "status schema"  "ise-fabric-status/v1"
-          (Option.value ~default:"?"
-             (Option.bind (Json.member "schema" doc) Json.to_str));
-        checki "status shards" 16 (geti "shards");
-        checki "status drained" 16 (geti "done");
-        (match Option.bind (Json.member "workers" doc) Json.to_list with
-         | Some ws -> checki "status workers" 4 (List.length ws)
-         | None -> Alcotest.fail "status has no workers table");
-        checkb "status counters present" true
-          (Json.member "counters" doc <> None))
 
 let test_fabric_trace_parenting () =
   if not (requires_fork ()) then ()
   else
     let spec = Campaign.spec ~count:16 ~seeds_per_test:4 ~seed:17 () in
+    let reference = reference_run spec ~log:ignore in
     let trace_dir = tmp_dir () in
     with_sim ~n:4 ~trace_dir (fun sim ->
         let tr = Trace_t.create () in
-        let observe =
-          { Supervisor.default_observe with
-            Supervisor.stream = true;
-            trace = Some tr;
-            trace_id = "t-stitch";
-          }
-        in
         let cfg =
           { (Supervisor.default_config ~workers:(Sim.sockets sim)) with
             Supervisor.shards = Some 8;
-            observe;
+            trace = Some ("t-stitch", tr);
           }
         in
-        let _, outcomes, _ = Supervisor.run cfg (Wire.Fuzz spec) in
+        let ranges, outcomes, _ = Supervisor.run cfg (Wire.Fuzz spec) in
         checkb "every shard completed" true
           (Array.for_all
              (function Supervisor.Shard_ok _ -> true | _ -> false)
              outcomes);
+        (* tracing is never on the result path: the merge is
+           byte-identical to a single-host run with it on *)
+        let merged = Merge.merge spec ~ranges ~outcomes in
+        checkb "byte-identical with tracing on" true
+          (fingerprint ~seed:17 merged.Merge.m_report
+          = fingerprint ~seed:17 reference);
         (* write the supervisor's trace next to the workers' and
            stitch the directory, exactly as the CLI does *)
         let sup_path = Filename.concat trace_dir "supervisor.trace.json" in
@@ -1146,8 +1068,6 @@ let suite =
       test_fabric_heartbeat_loss;
     Alcotest.test_case "fabric: byte-identity under every netchaos fault"
       `Slow test_netchaos_fault_identity;
-    Alcotest.test_case "fabric: streaming telemetry, identity preserved"
-      `Slow test_fabric_streaming_observability;
     Alcotest.test_case "fabric: stitched trace parents shard spans" `Slow
       test_fabric_trace_parenting;
     Alcotest.test_case "fabric: store answers a repeated campaign" `Quick

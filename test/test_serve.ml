@@ -380,16 +380,17 @@ let test_serve_unsupported_proto () =
   if not (requires_fork ()) then ()
   else
     with_daemon (fun ~dir:_ ~socket ~pid:_ ->
+        (* a valid Hello in a frame of another version is refused by
+           its protocol byte, the only version check *)
         let fd = raw_connect socket in
-        Proto.write_request fd (Proto.Hello { proto = 99; git_rev = "test" });
+        Codec.write_sealed ~proto:99 fd (Proto.Hello { git_rev = "test" });
         expect_err fd Proto.Unsupported_proto;
         Unix.close fd;
         (* a fabric supervisor that dialled the daemon is refused at
            its first frame, by the protocol byte *)
         let module Wire = Ise_fabric.Wire in
         let fd = raw_connect socket in
-        Wire.write_request fd
-          (Wire.Hello { proto = Wire.version; git_rev = "test" });
+        Wire.write_request fd (Wire.Hello { git_rev = "test" });
         expect_err fd Proto.Unsupported_proto;
         Unix.close fd)
 
@@ -572,37 +573,6 @@ let test_serve_stats_counters () =
           checki "write-through counted" 2 v.Proto.v_writes;
           checki "no corruption" 0 v.Proto.v_corrupt_skipped)
 
-let test_serve_metrics_exposition () =
-  if not (requires_fork ()) then ()
-  else
-    with_daemon (fun ~dir:_ ~socket ~pid:_ ->
-        let c = connect_exn socket in
-        ignore (litmus_exn c ~tests:(some_tests 1) ~params:default_params);
-        let text =
-          match Client.metrics c with
-          | Ok t -> t
-          | Error m -> Alcotest.failf "metrics: %s" m
-        in
-        Client.close c;
-        let has needle =
-          let n = String.length needle and m = String.length text in
-          let rec go i =
-            i + n <= m && (String.sub text i n = needle || go (i + 1))
-          in
-          go 0
-        in
-        (* the documented schema: ise_-prefixed sanitized names with
-           TYPE comments, counters mirroring server_stats *)
-        checkb "litmus_runs counter" true
-          (has "# TYPE ise_serve_litmus_runs counter"
-           && has "ise_serve_litmus_runs 1");
-        checkb "uptime gauge" true (has "# TYPE ise_serve_uptime_s gauge");
-        checkb "store counters present" true (has "ise_serve_store_writes 1");
-        String.iter
-          (fun ch ->
-            if ch = '/' then Alcotest.fail "unsanitized metric name")
-          text)
-
 let test_serve_replay_cached () =
   if not (requires_fork ()) then ()
   else
@@ -744,8 +714,6 @@ let suite =
       test_serve_stats_counters;
     Alcotest.test_case "serve: fuzz replay cached" `Quick
       test_serve_replay_cached;
-    Alcotest.test_case "serve: prometheus metrics exposition" `Quick
-      test_serve_metrics_exposition;
     Alcotest.test_case "serve: SIGTERM drains cleanly" `Quick
       test_serve_sigterm_drains;
     Alcotest.test_case "serve: pool fan-out byte-identity" `Quick

@@ -226,71 +226,7 @@ let test_episode_sequence () =
     depth
 
 (* ------------------------------------------------------------------ *)
-(* Delta snapshots (v3 telemetry streaming) and Prometheus export      *)
-
-let test_drain_absorb () =
-  let w = Registry.create () in
-  Registry.add (Registry.counter w "fabric/worker/shards_done") 3;
-  Registry.set (Registry.gauge w "mem/l1/miss_rate") 0.5;
-  let h = Registry.histogram w "fabric/worker/shard_ms" in
-  List.iter (Ise_util.Stats.add h) [ 1.0; 2.0; 3.0 ];
-  Registry.counter w "fabric/worker/zero" |> ignore;
-  let d = Registry.drain w in
-  (* zero counters are omitted; names are sorted *)
-  check
-    (Alcotest.list Alcotest.string)
-    "drained names"
-    [ "fabric/worker/shard_ms"; "fabric/worker/shards_done";
-      "mem/l1/miss_rate" ]
-    (List.map fst d);
-  (* drain resets counters and histograms: a second drain only carries
-     the gauge (absolute, re-sent every time) *)
-  check
-    (Alcotest.list Alcotest.string)
-    "second drain" [ "mem/l1/miss_rate" ]
-    (List.map fst (Registry.drain w));
-  (* deltas accumulate on the absorbing side *)
-  let s = Registry.create () in
-  Registry.absorb s d;
-  Registry.absorb s
-    [ ("fabric/worker/shards_done", Registry.D_counter 2);
-      ("fabric/worker/shard_ms", Registry.D_histogram [| 4.0 |]) ];
-  check Alcotest.int "absorbed counter" 5
-    (Registry.value (Registry.counter s "fabric/worker/shards_done"));
-  (match Registry.find_histogram s "fabric/worker/shard_ms" with
-   | None -> Alcotest.fail "expected absorbed histogram"
-   | Some st ->
-     check Alcotest.int "absorbed samples" 4 (Ise_util.Stats.count st);
-     (* raw samples travel, so supervisor-side percentiles are exact *)
-     check (Alcotest.float 1e-9) "exact max" 4.0 (Ise_util.Stats.max_value st));
-  check (Alcotest.float 1e-9) "absorbed gauge" 0.5
-    (Registry.get (Registry.gauge s "mem/l1/miss_rate"))
-
-let test_prometheus_export () =
-  let r = Registry.create () in
-  Registry.add (Registry.counter r "fabric/done") 7;
-  Registry.set (Registry.gauge r "fabric/shards_per_s") 2.5;
-  let h = Registry.histogram r "pool/job_ms" in
-  for i = 1 to 100 do
-    Ise_util.Stats.add_int h i
-  done;
-  let text = Registry.to_prometheus r in
-  let has needle =
-    let n = String.length needle and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "counter line" true
-    (has "# TYPE ise_fabric_done counter" && has "ise_fabric_done 7");
-  check Alcotest.bool "gauge line" true (has "ise_fabric_shards_per_s 2.5");
-  check Alcotest.bool "summary quantiles" true
-    (has "ise_pool_job_ms{quantile=\"0.999\"}"
-     && has "ise_pool_job_ms_count 100");
-  (* every name is sanitized into the Prometheus charset *)
-  String.iter
-    (fun c ->
-      if c = '/' then Alcotest.fail "unsanitized metric name")
-    text
+(* Trace context                                                       *)
 
 let test_trace_ctx_roundtrip () =
   let ctx =
@@ -343,7 +279,5 @@ let suite =
     ("chrome json roundtrip", `Quick, test_chrome_json_roundtrip);
     ("cycle equivalence", `Quick, test_cycle_equivalence);
     ("episode sequence", `Quick, test_episode_sequence);
-    ("drain/absorb delta snapshots", `Quick, test_drain_absorb);
-    ("prometheus export", `Quick, test_prometheus_export);
     ("trace ctx roundtrip", `Quick, test_trace_ctx_roundtrip);
   ]
