@@ -766,13 +766,13 @@ let pool_bench () =
   let t_fresh =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to batches do
-      ignore (Ise_pool.Pool.map ~jobs ~max_retries:0 job items)
+      ignore (Ise_pool.Pool.map ~jobs job items)
     done;
     Unix.gettimeofday () -. t0
   in
   let t_persist =
     let t0 = Unix.gettimeofday () in
-    Ise_pool.Pool.with_pool ~jobs ~max_retries:0 job (fun p ->
+    Ise_pool.Pool.with_pool ~jobs job (fun p ->
         Ise_pool.Pool.prespawn p;
         for _ = 1 to batches do
           ignore (Ise_pool.Pool.run p items)
@@ -974,23 +974,18 @@ let fabric_bench () =
     let id1 = fingerprint r1 = fingerprint reference in
     let id4 = fingerprint r4 = fingerprint reference in
     let ids = fingerprint rs = fingerprint reference in
-    let t = Table.create ~headers:[ "Workers"; "Wall (s)"; "Speedup"; "Dispatched" ] in
-    Table.add_row t
-      [ "local"; Table.cell_f ~decimals:2 t_ref; Table.cell_f ~decimals:2 1.;
-        "-" ];
-    Table.add_row t
-      [ "1"; Table.cell_f ~decimals:2 t1;
-        Table.cell_f ~decimals:2 (t_ref /. t1);
-        string_of_int s1.Ise_fabric.Supervisor.f_dispatched ];
-    Table.add_row t
-      [ "4"; Table.cell_f ~decimals:2 t4;
-        Table.cell_f ~decimals:2 (t_ref /. t4);
-        string_of_int s4.Ise_fabric.Supervisor.f_dispatched ];
-    Table.add_row t
-      [ "4+storm"; Table.cell_f ~decimals:2 ts;
-        Table.cell_f ~decimals:2 (t_ref /. ts);
-        string_of_int ss.Ise_fabric.Supervisor.f_dispatched ];
+    let t = Table.create ~headers:[ "Workers"; "Wall (s)"; "Dispatched" ] in
+    Table.add_row t [ "local"; Table.cell_f ~decimals:2 t_ref; "-" ];
+    List.iter
+      (fun (name, wall, st) ->
+        Table.add_row t
+          [ name; Table.cell_f ~decimals:2 wall;
+            string_of_int st.Ise_fabric.Supervisor.f_dispatched ])
+      [ ("1", t1, s1); ("4", t4, s4); ("4+storm", ts, ss) ];
     Table.print t;
+    print_endline
+      "a 24-test campaign: worker fork, handshake and spec regeneration \
+       dominate, so the wall times measure dispatch overhead, not scaling";
     Printf.printf
       "merged reports byte-identical to single-host: 1 worker %b, 4 workers \
        %b, 4 workers under netchaos storm %b (%d tests, %d checks, %d \
@@ -1014,7 +1009,6 @@ let fabric_bench () =
            ("w1_wall_s", Ise_telemetry.Json.Float t1);
            ("w4_wall_s", Ise_telemetry.Json.Float t4);
            ("storm_wall_s", Ise_telemetry.Json.Float ts);
-           ("speedup_w4", Ise_telemetry.Json.Float (t_ref /. t4));
            ( "w4_dispatched",
              Ise_telemetry.Json.Int s4.Ise_fabric.Supervisor.f_dispatched );
            ( "w4_redispatched",
@@ -1167,10 +1161,7 @@ let () =
           | Ise_pool.Pool.Failed err ->
             ok := false;
             Printf.eprintf "[bench] section %s failed: %s\n%!" names.(i)
-              (Ise_pool.Pool.error_to_string err)
-          | Ise_pool.Pool.Split _ ->
-            (* no bisect function is passed here *)
-            assert false)
+              (Ise_pool.Pool.error_to_string err))
         (fun name -> captured (List.assoc name sections))
         names
     in

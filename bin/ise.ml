@@ -200,10 +200,7 @@ let litmus_cmd =
               Printf.printf "%-16s POOL FAILURE: %s\n"
                 tests.(i).Ise_litmus.Lit_test.name
                 (Ise_pool.Pool.error_to_string err);
-              ok := false
-            | Ise_pool.Pool.Split _ ->
-              (* no bisect function is passed here *)
-              assert false)
+              ok := false)
           run_one tests
       in
       write_outputs sink ~trace_out ~telemetry_out;
@@ -558,31 +555,6 @@ let variants_of_spec spec =
     in
     resolve [] names
 
-let shard_sizing_conv =
-  let parse = function
-    | "auto" -> Ok `Auto
-    | "formula" -> Ok `Formula
-    | s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok (`Fixed n)
-      | _ ->
-        Error (`Msg (Printf.sprintf "bad shard size %S (auto|formula|N)" s)))
-  in
-  let print ppf = function
-    | `Auto -> Format.pp_print_string ppf "auto"
-    | `Formula -> Format.pp_print_string ppf "formula"
-    | `Fixed n -> Format.pp_print_int ppf n
-  in
-  Arg.conv (parse, print)
-
-let shard_size_arg =
-  Arg.(value & opt shard_sizing_conv `Formula
-       & info [ "shard-size" ] ~docv:"SPEC"
-           ~doc:"Tests per parallel shard: 'formula' (count/(jobs*4), the \
-                 default), 'auto' (a pilot round calibrates shard size from \
-                 the pool's per-worker latency histograms), or a fixed \
-                 count.  All policies produce byte-identical reports.")
-
 let shard_spec_conv =
   let parse s =
     match Ise_fabric.Plan.parse_shard s with
@@ -605,7 +577,7 @@ let shard_arg ~what =
 
 let fuzz_run_cmd =
   let run seed count seeds_per_test variants_spec corpus_dir no_save inject
-      trace_out telemetry_out jobs shard_sizing journal_dir ledger shard =
+      trace_out telemetry_out jobs journal_dir ledger shard =
     let variants =
       match variants_of_spec variants_spec with
       | Ok vs -> vs
@@ -626,7 +598,7 @@ let fuzz_run_cmd =
     let report =
       with_injected_bug inject (fun () ->
           Ise_fuzz.Campaign.run ~count ~seeds_per_test ~variants ~jobs
-            ~shard_sizing ?journal_dir ?telemetry:sink ~log:prerr_endline
+            ?journal_dir ?telemetry:sink ~log:prerr_endline
             ?range ~seed ())
     in
     write_outputs sink ~trace_out ~telemetry_out;
@@ -687,7 +659,7 @@ let fuzz_run_cmd =
     Term.(const run $ fuzz_seed_arg $ fuzz_count_arg $ fuzz_seeds_arg
           $ fuzz_variants_arg $ corpus_arg $ fuzz_nosave_arg $ inject_bug_arg
           $ trace_out_arg
-          $ telemetry_out_arg $ jobs_arg $ shard_size_arg $ journal_dir_arg
+          $ telemetry_out_arg $ jobs_arg $ journal_dir_arg
           $ ledger_arg $ shard_arg ~what:"test")
 
 let fuzz_replay_cmd =
@@ -1044,8 +1016,7 @@ let chaos_run_cmd =
               Printf.eprintf "trial %d lost (%s); re-running in-process\n%!"
                 i
                 (Ise_pool.Pool.error_to_string err);
-              run_one specs.(i)
-            | Ise_pool.Pool.Split _ -> assert false)
+              run_one specs.(i))
           outcomes
       end
     in

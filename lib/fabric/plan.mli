@@ -23,8 +23,7 @@ val parse_shard : string -> (int * int, string) result
 (** {1 Straggler deadlines}
 
     An exponentially-weighted moving average of observed shard
-    wall-clock seconds, in the spirit of {!Ise_fuzz.Campaign}'s [`Auto]
-    sizing pilot: the supervisor feeds it every completed shard's
+    wall-clock seconds: the supervisor feeds it every completed shard's
     latency and re-dispatches any shard in flight longer than
     {!deadline}. *)
 

@@ -379,8 +379,7 @@ let report_of_raw ?(log = fun (_ : string) -> ()) s ~tests ~lost raws =
   }
 
 let run ?params ?count ?seeds_per_test ?variants ?variants_per_test
-    ?model_checks ?shrink_evals ?(jobs = 1) ?job_timeout
-    ?(shard_sizing = `Formula) ?journal_dir ?telemetry
+    ?model_checks ?shrink_evals ?(jobs = 1) ?journal_dir ?telemetry
     ?(log = fun (_ : string) -> ()) ?range ~seed () =
   let s =
     make_spec ~who:"Campaign.run" ?params ?count ?seeds_per_test ?variants
@@ -452,122 +451,32 @@ let run ?params ?count ?seeds_per_test ?variants ?variants_per_test
         ts;
       List.rev !acc
     in
-    (* a timed-out shard is bisected: one wedged test costs half a
-       shard, and the offending half is pinpointed in the log *)
-    let bisect (base, ts) =
-      let len = Array.length ts in
-      if len < 2 then None
-      else
-        let mid = len / 2 in
-        Some
-          ( (base, Array.sub ts 0 mid),
-            (base + mid, Array.sub ts mid (len - mid)) )
-    in
-    (* Consumption asserts the deterministic-schedule contract: every
-       sizing policy must hand results back contiguously in global
-       test order, or the variant schedule (a function of the global
-       index) would silently diverge from the sequential run. *)
-    let next_base = ref lo in
-    let rec consume sh (base, ts) outcome =
-      match outcome with
-      | Ise_pool.Pool.Done fs ->
-        assert (base = !next_base);
-        next_base := base + Array.length ts;
-        count_tests (Array.length ts);
-        count_checks (Array.length ts * s.s_variants_per_test);
-        List.iter (fun rf -> failures := proc rf :: !failures) fs
-      | Ise_pool.Pool.Failed err ->
-        assert (base = !next_base);
-        next_base := base + Array.length ts;
-        lost := !lost + Array.length ts;
-        log
-          (Printf.sprintf "LOST shard %d (tests %d-%d): %s" sh base
-             (base + Array.length ts - 1)
-             (Ise_pool.Pool.error_to_string err))
-      | Ise_pool.Pool.Split (lout, rout) ->
-        (* halves mirror [bisect]'s split exactly *)
-        let mid = Array.length ts / 2 in
-        log
-          (Printf.sprintf "SPLIT shard %d (tests %d-%d): timed out, bisected"
-             sh base
-             (base + Array.length ts - 1));
-        consume sh (base, Array.sub ts 0 mid) lout;
-        consume sh
-          (base + mid, Array.sub ts mid (Array.length ts - mid))
-          rout
-    in
-    (* one persistent pool for the whole campaign: the pilot and main
-       batches reuse the same forked workers *)
-    let pool =
-      Ise_pool.Pool.create ~jobs ?job_timeout ?telemetry ?journal_dir worker
-    in
-    let run_shards shards =
-      let outcomes, _stats = Ise_pool.Pool.run ~bisect pool shards in
-      Array.iteri (fun sh outcome -> consume sh shards.(sh) outcome) outcomes
-    in
-    Fun.protect ~finally:(fun () -> Ise_pool.Pool.close pool) @@ fun () ->
-    let formula_size = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-    (* `Auto: run a pilot of single-test shards through the pool with a
-       private sink, then size the remaining shards from the measured
-       per-test latency (pool/worker<k>/job_ms histograms) *)
-    let pilot =
-      match shard_sizing with `Auto -> min n (jobs * 2) | _ -> 0
-    in
-    let shard_size =
-      if pilot = 0 then
-        match shard_sizing with `Fixed sz -> max 1 sz | _ -> formula_size
-      else begin
-        let cal = Ise_telemetry.Sink.create () in
-        let pshards =
-          Array.init pilot (fun i -> (lo + i, Array.sub tests (lo + i) 1))
-        in
-        let outcomes, _stats =
-          Ise_pool.Pool.run ~telemetry:cal ~bisect pool pshards
-        in
-        Array.iteri
-          (fun sh outcome -> consume sh pshards.(sh) outcome)
-          outcomes;
-        let is_job_ms name =
-          String.length name > 12
-          && String.sub name 0 11 = "pool/worker"
-          && String.sub name (String.length name - 7) 7 = "/job_ms"
-        in
-        let total_ms = ref 0.0 and samples = ref 0 in
-        List.iter
-          (fun (name, snap) ->
-            match snap with
-            | Ise_telemetry.Registry.Snap_histogram h when is_job_ms name ->
-              total_ms := !total_ms +. (h.s_mean *. float_of_int h.s_count);
-              samples := !samples + h.s_count
-            | _ -> ())
-          (Ise_telemetry.Registry.snapshot (Ise_telemetry.Sink.registry cal));
-        if !samples = 0 then formula_size
-        else begin
-          let mean = Float.max 0.01 (!total_ms /. float_of_int !samples) in
-          let target_ms = 250.0 in
-          let by_latency =
-            max 1 (int_of_float (Float.round (target_ms /. mean)))
-          in
-          (* keep at least two shards per worker so the tail balances *)
-          let cap = max 1 ((n - pilot + (jobs * 2) - 1) / (jobs * 2)) in
-          let chosen = min by_latency cap in
-          log
-            (Printf.sprintf
-               "auto shard sizing: pilot %d tests, mean %.1f ms/test -> %d \
-                tests/shard"
-               pilot mean chosen);
-          chosen
-        end
-      end
-    in
-    let remaining = n - pilot in
-    let nshards = (remaining + shard_size - 1) / shard_size in
+    let shard_size = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
     let shards =
-      Array.init nshards (fun sh ->
-          let base = lo + pilot + (sh * shard_size) in
+      Array.init
+        ((n + shard_size - 1) / shard_size)
+        (fun sh ->
+          let base = lo + (sh * shard_size) in
           (base, Array.sub tests base (min shard_size (hi - base))))
     in
-    run_shards shards
+    let outcomes, _stats =
+      Ise_pool.Pool.map ~jobs ?telemetry ?journal_dir worker shards
+    in
+    Array.iteri
+      (fun sh outcome ->
+        let base, ts = shards.(sh) in
+        match outcome with
+        | Ise_pool.Pool.Done fs ->
+          count_tests (Array.length ts);
+          count_checks (Array.length ts * s.s_variants_per_test);
+          List.iter (fun rf -> failures := proc rf :: !failures) fs
+        | Ise_pool.Pool.Failed err ->
+          lost := !lost + Array.length ts;
+          log
+            (Printf.sprintf "LOST shard %d (tests %d-%d): %s" sh base
+               (base + Array.length ts - 1)
+               (Ise_pool.Pool.error_to_string err)))
+      outcomes
   end;
   {
     r_seed = s.s_seed;

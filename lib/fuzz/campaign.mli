@@ -107,8 +107,9 @@ type report = {
   r_checks : int;  (** test×variant checks executed *)
   r_failures : failure list;  (** discovery order *)
   r_lost_tests : int;
-      (** tests lost to a failed parallel shard (crash/timeout after
-          retries); always 0 sequentially and on a healthy pool *)
+      (** tests lost to a failed parallel shard (a crash after
+          retries, or a SIGINT drain); always 0 sequentially and on a
+          healthy pool *)
 }
 
 (** {1 Specs: the shippable description of a campaign}
@@ -177,9 +178,7 @@ val run :
   ?params:Gen.params -> ?count:int -> ?seeds_per_test:int ->
   ?variants:variant list -> ?variants_per_test:int ->
   ?model_checks:bool -> ?shrink_evals:int ->
-  ?jobs:int -> ?job_timeout:float ->
-  ?shard_sizing:[ `Formula | `Fixed of int | `Auto ] ->
-  ?journal_dir:string ->
+  ?jobs:int -> ?journal_dir:string ->
   ?telemetry:Ise_telemetry.Sink.t -> ?log:(string -> unit) ->
   ?range:int * int ->
   seed:int -> unit -> report
@@ -192,26 +191,15 @@ val run :
     per generated test (sequentially) or one [pool] span per shard.
 
     [jobs] (default 1) > 1 fans the test×variant checks out over an
-    {!Ise_pool.Pool} of forked workers in contiguous shards; test
-    generation, logging, shrinking, and artifact construction stay in
-    the supervisor, and shard results are consumed in shard order, so
-    the report — failures, shrunk tests, log stream — is byte-identical
-    to a [jobs = 1] run of the same seed.  A shard whose worker dies
-    even after retries is {e reported} ([r_lost_tests], a [LOST] log
-    line) rather than aborting the campaign.  [job_timeout] bounds one
-    shard's wall-clock seconds.
-
-    [shard_sizing] picks the shard size of the parallel path:
-    [`Formula] (default) is the historical [count / (jobs*4)];
-    [`Fixed n] forces [n] tests per shard; [`Auto] first runs a small
-    pilot — [min count (2*jobs)] tests as single-test shards — reads
-    the pool's per-worker [pool/worker<k>/job_ms] latency histograms,
-    and sizes the remaining shards so each targets ~250 ms of work
-    (clamped to keep at least two shards per worker).  Every sizing
-    policy preserves the deterministic schedule: shards stay
-    contiguous in global test order and are consumed in order —
-    asserted at consumption — so the report is byte-identical across
-    policies and worker counts.
+    {!Ise_pool.Pool.map} of forked workers, as one batch of contiguous
+    shards of [ceil (n / (4 * jobs))] tests each ([n] the tests in
+    [range]); test generation, logging, shrinking, and artifact
+    construction stay in the supervisor, and shard results are consumed
+    in shard order, so the report — failures, shrunk tests, log stream
+    — is byte-identical to a [jobs = 1] run of the same seed.  A shard whose worker dies even
+    after retries, or that a SIGINT drain cancels, is {e reported}
+    ([r_lost_tests], a [LOST] log line) rather than aborting the
+    campaign.
 
     [journal_dir] is passed to {!Ise_pool.Pool.map}: forked workers
     keep crash journals there, and each chaos-variant machine mirrors

@@ -1,19 +1,14 @@
 type error =
   | Crashed of string
-  | Timed_out of float
   | Exception of string
   | Cancelled
 
 let error_to_string = function
   | Crashed s -> "worker crashed: " ^ s
-  | Timed_out s -> Printf.sprintf "timed out after %.1f s" s
   | Exception s -> "raised: " ^ s
   | Cancelled -> "cancelled (drain)"
 
-type 'r outcome =
-  | Done of 'r
-  | Failed of error
-  | Split of 'r outcome * 'r outcome
+type 'r outcome = Done of 'r | Failed of error
 
 type stats = {
   st_jobs : int;
@@ -21,10 +16,8 @@ type stats = {
   st_dispatched : int;
   st_completed : int;
   st_retried : int;
-  st_timed_out : int;
   st_crashes : int;
   st_cancelled : int;
-  st_bisected : int;
   st_spawned : int;
   st_wall_s : float;
 }
@@ -36,15 +29,18 @@ let zero_stats =
     st_dispatched = 0;
     st_completed = 0;
     st_retried = 0;
-    st_timed_out = 0;
     st_crashes = 0;
     st_cancelled = 0;
-    st_bisected = 0;
     st_spawned = 0;
     st_wall_s = 0.;
   }
 
 let fork_available = Sys.unix
+
+(* The one failure policy: a crashed job is re-dispatched at most
+   [max_retries] times, the first after [backoff_s], doubling. *)
+let max_retries = 2
+let backoff_s = 0.05
 
 let nproc () =
   try
@@ -71,7 +67,6 @@ type tele = {
   c_dispatched : Ise_telemetry.Registry.counter;
   c_completed : Ise_telemetry.Registry.counter;
   c_retried : Ise_telemetry.Registry.counter;
-  c_timed_out : Ise_telemetry.Registry.counter;
   c_crashes : Ise_telemetry.Registry.counter;
   c_spawned : Ise_telemetry.Registry.counter;
   t_start : float;
@@ -86,7 +81,6 @@ let make_tele t_start sink =
     c_dispatched = c "pool/dispatched";
     c_completed = c "pool/completed";
     c_retried = c "pool/retried";
-    c_timed_out = c "pool/timed_out";
     c_crashes = c "pool/crashes";
     c_spawned = c "pool/workers_spawned";
     t_start;
@@ -167,14 +161,7 @@ let run_inline ~telemetry ~on_result f items =
 (* ------------------------------------------------------------------ *)
 (* forked pool                                                         *)
 
-type running = {
-  r_idx : int;
-  r_started : float;
-  r_deadline : float option;
-  mutable r_term_at : float option;  (* SIGTERM sent *)
-  mutable r_killed : bool;  (* SIGKILL sent *)
-  mutable r_timed_out : bool;
-}
+type running = { r_idx : int; r_started : float }
 
 type worker = {
   w_slot : int;
@@ -192,10 +179,6 @@ type worker = {
    fan-out and the serve daemon amortize process startup. *)
 type ('a, 'r) t = {
   p_jobs : int;
-  p_job_timeout : float option;
-  p_kill_grace : float;
-  p_max_retries : int;
-  p_retry_backoff : float;
   p_telemetry : Ise_telemetry.Sink.t option;
   p_journal_dir : string option;
   p_f : 'a -> 'r;
@@ -238,7 +221,7 @@ let worker_loop req resp f =
 (* Crash journals: with [journal_dir], every forked worker enables the
    process-global flight recorder with a per-(slot, pid) spill file in
    that directory; each journal line is flushed as it is written, so
-   when a worker dies (crash, timeout SIGKILL) the supervisor finds a
+   when a worker dies (crash, second-SIGINT kill) the supervisor finds a
    decodable journal tail on disk and names it in the error.  Journals
    of workers that shut down cleanly are removed. *)
 let journal_file dir ~slot ~pid =
@@ -328,10 +311,10 @@ let kill_worker w =
 
 (* One batch over the (persistent) worker set.  [persist] keeps the
    workers alive on normal return; an exception still tears them down. *)
-let run_forked ~persist ~telemetry ~on_result ~bisect p items =
+let run_forked ~persist ~on_result p items =
   let n = Array.length items in
   let t0 = Unix.gettimeofday () in
-  let tele = Option.map (make_tele t0) telemetry in
+  let tele = Option.map (make_tele t0) p.p_telemetry in
   Option.iter
     (fun t ->
       Ise_telemetry.Registry.add
@@ -344,30 +327,13 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
   let nw = min p.p_jobs n in
   let workers = Array.sub p.p_workers 0 nw in
   let hists = Array.init nw (fun slot -> worker_hist tele slot) in
-  let job_timeout = p.p_job_timeout in
-  let kill_grace = p.p_kill_grace in
-  let max_retries = p.p_max_retries in
-  let retry_backoff = p.p_retry_backoff in
   let dispatched = ref 0
   and completed = ref 0
   and retried = ref 0
-  and timed_out = ref 0
   and crashes = ref 0
-  and cancelled = ref 0
-  and bisected = ref 0 in
+  and cancelled = ref 0 in
   let results = Array.make n None in
-  (* indices >= n are bisection halves of a timed-out job *)
-  let extra = Hashtbl.create 8 in
-  let next_extra = ref n in
-  let children = Hashtbl.create 8 in (* parent -> (left, right) *)
-  let parent_of = Hashtbl.create 8 in
-  let child_out = Hashtbl.create 8 in
-  let item_of idx = if idx < n then items.(idx) else Hashtbl.find extra idx in
-  let attempts = Hashtbl.create (2 * n) in
-  let get_attempts idx =
-    Option.value ~default:0 (Hashtbl.find_opt attempts idx)
-  in
-  let bump_attempts idx = Hashtbl.replace attempts idx (get_attempts idx + 1) in
+  let attempts = Array.make n 0 in
   let pending = Queue.create () in
   for i = 0 to n - 1 do
     Queue.add i pending
@@ -393,54 +359,12 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
         done
     end
   in
-  (* A half's outcome parks until its sibling lands, then the parent
-     completes as [Split]; base indices complete directly. *)
-  let complete_any idx out =
-    match Hashtbl.find_opt parent_of idx with
-    | None -> complete idx out
-    | Some parent -> (
-      Hashtbl.replace child_out idx out;
-      match Hashtbl.find_opt children parent with
-      | Some (li, ri) -> (
-        match (Hashtbl.find_opt child_out li, Hashtbl.find_opt child_out ri)
-        with
-        | Some lo, Some ro -> complete parent (Split (lo, ro))
-        | _ -> ())
-      | None -> ())
-  in
-  (* Timeout-then-bisect: a timed-out job is split once — each half is
-     a fresh job with its own timeout and retry budget, pinning the
-     slow or wedged item to one half.  Halves are never re-split. *)
-  let try_bisect idx =
-    match bisect with
-    | Some bs
-      when (not (interrupted ()))
-           && (not (Hashtbl.mem parent_of idx))
-           && not (Hashtbl.mem children idx) -> (
-      match bs (item_of idx) with
-      | Some (a, b) ->
-        let li = !next_extra in
-        incr next_extra;
-        let ri = !next_extra in
-        incr next_extra;
-        Hashtbl.replace extra li a;
-        Hashtbl.replace extra ri b;
-        Hashtbl.replace children idx (li, ri);
-        Hashtbl.replace parent_of li idx;
-        Hashtbl.replace parent_of ri idx;
-        incr bisected;
-        Queue.add li pending;
-        Queue.add ri pending;
-        true
-      | None -> false)
-    | _ -> false
-  in
   let spawn w = spawn_worker p tele w in
   let work_queued () = (not (Queue.is_empty pending)) || !retries <> [] in
   let schedule_retry now idx =
     incr retried;
     count (fun t -> t.c_retried) tele;
-    let delay = retry_backoff *. (2. ** float_of_int (get_attempts idx - 1)) in
+    let delay = backoff_s *. (2. ** float_of_int (attempts.(idx) - 1)) in
     retries :=
       List.merge
         (fun (a, _) (b, _) -> compare a b)
@@ -468,28 +392,18 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
      | Some r ->
        w.w_job <- None;
        span_end tele ~slot:w.w_slot r.r_idx;
-       if r.r_timed_out then begin
-         incr timed_out;
-         count (fun t -> t.c_timed_out) tele;
-         if not (try_bisect r.r_idx) then
-           if (not (interrupted ())) && get_attempts r.r_idx <= max_retries
-           then schedule_retry now r.r_idx
-           else complete_any r.r_idx (Failed (Timed_out (now -. r.r_started)))
-       end
-       else begin
-         incr crashes;
-         count (fun t -> t.c_crashes) tele;
-         if (not (interrupted ())) && get_attempts r.r_idx <= max_retries then
-           schedule_retry now r.r_idx
-         else
-           complete_any r.r_idx
-             (Failed
-                (Crashed
-                   (Printf.sprintf "%s (%s)%s" reason status
-                      (match journal with
-                       | Some path -> "; journal: " ^ path
-                       | None -> ""))))
-       end);
+       incr crashes;
+       count (fun t -> t.c_crashes) tele;
+       if (not (interrupted ())) && attempts.(r.r_idx) <= max_retries then
+         schedule_retry now r.r_idx
+       else
+         complete r.r_idx
+           (Failed
+              (Crashed
+                 (Printf.sprintf "%s (%s)%s" reason status
+                    (match journal with
+                     | Some path -> "; journal: " ^ path
+                     | None -> "")))));
     if (not (interrupted ())) && work_queued () then spawn w
   in
   let next_job now =
@@ -502,21 +416,12 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
       | _ -> Queue.take_opt pending
   in
   let dispatch w ~now idx =
-    bump_attempts idx;
-    w.w_job <-
-      Some
-        {
-          r_idx = idx;
-          r_started = now;
-          r_deadline = Option.map (fun t -> now +. t) job_timeout;
-          r_term_at = None;
-          r_killed = false;
-          r_timed_out = false;
-        };
+    attempts.(idx) <- attempts.(idx) + 1;
+    w.w_job <- Some { r_idx = idx; r_started = now };
     incr dispatched;
     count (fun t -> t.c_dispatched) tele;
     span_begin tele ~slot:w.w_slot idx;
-    try Codec.write_frame w.w_req (Codec.marshal (idx, item_of idx))
+    try Codec.write_frame w.w_req (Codec.marshal (idx, items.(idx)))
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
       handle_death w ~now "dispatch write failed"
   in
@@ -532,7 +437,7 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
      | _ -> ());
     incr completed;
     count (fun t -> t.c_completed) tele;
-    complete_any idx
+    complete idx
       (match res with Ok r -> Done r | Error e -> Failed (Exception e))
   in
   let handle_readable w ~now =
@@ -563,41 +468,10 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
         handle_death w ~now ("corrupt result frame: " ^ Codec.error_to_string e)
       | None -> w.w_buf <- String.sub data !pos (total - !pos))
   in
-  let check_timeouts now =
-    Array.iter
-      (fun w ->
-        if w.w_alive then
-          match w.w_job with
-          | Some ({ r_deadline = Some d; _ } as r) when now >= d ->
-            if r.r_term_at = None then begin
-              r.r_timed_out <- true;
-              (try Unix.kill w.w_pid Sys.sigterm with Unix.Unix_error _ -> ());
-              r.r_term_at <- Some now
-            end
-            else if
-              (not r.r_killed)
-              && now >= Option.get r.r_term_at +. kill_grace
-            then begin
-              (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              r.r_killed <- true
-            end
-          | _ -> ())
-      workers
-  in
   let select_timeout now =
-    let t = ref 0.25 in
-    let upd x = if x < !t then t := max 0.005 x in
-    Array.iter
-      (fun w ->
-        if w.w_alive then
-          match w.w_job with
-          | Some { r_deadline = Some d; r_term_at = None; _ } -> upd (d -. now)
-          | Some { r_term_at = Some ta; r_killed = false; _ } ->
-            upd (ta +. kill_grace -. now)
-          | _ -> ())
-      workers;
-    (match !retries with (t', _) :: _ -> upd (t' -. now) | [] -> ());
-    !t
+    match !retries with
+    | (t, _) :: _ -> Float.min 0.25 (Float.max 0.005 (t -. now))
+    | [] -> 0.25
   in
   let prev_int =
     Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> incr sigints))
@@ -618,12 +492,12 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
         let rec flush_pending () =
           match Queue.take_opt pending with
           | Some idx ->
-            complete_any idx (Failed Cancelled);
+            complete idx (Failed Cancelled);
             flush_pending ()
           | None -> ()
         in
         flush_pending ();
-        List.iter (fun (_, idx) -> complete_any idx (Failed Cancelled)) !retries;
+        List.iter (fun (_, idx) -> complete idx (Failed Cancelled)) !retries;
         retries := []
       end;
       if !sigints >= 2 then
@@ -633,7 +507,6 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
             if w.w_alive && Option.is_some w.w_job then
               try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
           workers;
-      check_timeouts now;
       Array.iter
         (fun w ->
           if w.w_alive && Option.is_none w.w_job then
@@ -686,10 +559,8 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
       st_dispatched = !dispatched;
       st_completed = !completed;
       st_retried = !retried;
-      st_timed_out = !timed_out;
       st_crashes = !crashes;
       st_cancelled = !cancelled;
-      st_bisected = !bisected;
       st_spawned = p.p_spawned - spawned0;
       st_wall_s = Unix.gettimeofday () -. t0;
     } )
@@ -697,16 +568,11 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
 (* ------------------------------------------------------------------ *)
 (* persistent handles                                                  *)
 
-let create ?jobs ?job_timeout ?(kill_grace = 0.5) ?(max_retries = 2)
-    ?(retry_backoff = 0.05) ?telemetry ?journal_dir f =
+let create ?jobs ?telemetry ?journal_dir f =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   Option.iter mkdir_p journal_dir;
   {
     p_jobs = jobs;
-    p_job_timeout = job_timeout;
-    p_kill_grace = kill_grace;
-    p_max_retries = max_retries;
-    p_retry_backoff = retry_backoff;
     p_telemetry = telemetry;
     p_journal_dir = journal_dir;
     p_f = f;
@@ -743,39 +609,28 @@ let prespawn p =
 let alive_workers p =
   Array.fold_left (fun acc w -> if w.w_alive then acc + 1 else acc) 0 p.p_workers
 
-let run ?telemetry ?on_result ?bisect p items =
+let run ?on_result p items =
   if p.p_closed then invalid_arg "Pool.run: closed pool";
-  let telemetry =
-    match telemetry with Some _ as t -> t | None -> p.p_telemetry
-  in
   if Array.length items = 0 then ([||], zero_stats)
   else if p.p_jobs <= 1 || not fork_available then
-    run_inline ~telemetry ~on_result p.p_f items
-  else run_forked ~persist:true ~telemetry ~on_result ~bisect p items
+    run_inline ~telemetry:p.p_telemetry ~on_result p.p_f items
+  else run_forked ~persist:true ~on_result p items
 
-let with_pool ?jobs ?job_timeout ?kill_grace ?max_retries ?retry_backoff
-    ?telemetry ?journal_dir f k =
-  let p =
-    create ?jobs ?job_timeout ?kill_grace ?max_retries ?retry_backoff
-      ?telemetry ?journal_dir f
-  in
+let with_pool ?jobs ?telemetry ?journal_dir f k =
+  let p = create ?jobs ?telemetry ?journal_dir f in
   Fun.protect ~finally:(fun () -> close p) (fun () -> k p)
 
 (* ------------------------------------------------------------------ *)
 (* one-shot batches                                                    *)
 
-let map ?jobs ?job_timeout ?kill_grace ?max_retries ?retry_backoff ?telemetry
-    ?on_result ?bisect ?journal_dir f items =
+let map ?jobs ?telemetry ?on_result ?journal_dir f items =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if Array.length items = 0 then ([||], zero_stats)
   else if jobs <= 1 || not fork_available then
     run_inline ~telemetry ~on_result f items
   else begin
-    let p =
-      create ~jobs ?job_timeout ?kill_grace ?max_retries ?retry_backoff
-        ?telemetry ?journal_dir f
-    in
+    let p = create ~jobs ?telemetry ?journal_dir f in
     Fun.protect
       ~finally:(fun () -> close p)
-      (fun () -> run_forked ~persist:false ~telemetry ~on_result ~bisect p items)
+      (fun () -> run_forked ~persist:false ~on_result p items)
   end

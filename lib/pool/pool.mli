@@ -1,4 +1,4 @@
-(** Fork-based parallel execution engine.
+(** Fork-based ordered map.
 
     [map f items] runs [f] over [items] on a pool of worker processes
     ([Unix.fork] + pipe IPC, {!Codec} frames) and returns the outcomes
@@ -12,27 +12,22 @@
       single-process debugging (breakpoints, printf, backtraces) sees
       exactly the production code path minus the IPC.
 
-    Robustness is built in, because a 500-shard campaign must not die
-    at shard 347:
+    There is one failure policy, because a 500-shard campaign must not
+    die at shard 347:
 
-    - {b per-job timeout}: a worker exceeding [job_timeout] gets
-      SIGTERM, then SIGKILL after [kill_grace] seconds;
-    - {b timeout-then-bisect}: with [bisect], a timed-out job is split
-      {e once} into two halves, each dispatched as a fresh job with its
-      own timeout and retry budget — a batch with one pathological item
-      loses half a batch, not the whole batch, and the offender is
-      pinned to one half; the original index reports [Split];
     - {b crash detection and bounded retry}: a worker that dies
       mid-job (signal, [exit], OOM kill) is reaped and respawned, and
-      the job is retried up to [max_retries] times with exponential
-      backoff;
+      the job is retried up to 2 times, after a 0.05 s backoff that
+      doubles per attempt;
     - {b failure isolation}: a job that exhausts its retries — or
       whose [f] raises, which is deterministic and not retried — is
       reported as a [Failed] outcome; the rest of the batch completes;
     - {b graceful drain on SIGINT}: no new jobs are dispatched,
-      in-flight jobs finish (still subject to their timeouts), queued
-      jobs come back as [Failed Cancelled], and the partial outcome
-      array is returned normally.
+      in-flight jobs finish, queued jobs come back as
+      [Failed Cancelled], and the partial outcome array is returned
+      normally.  A {e second} SIGINT kills the in-flight workers, whose
+      jobs come back as [Failed (Crashed _)] — the way to stop a
+      wedged job, since jobs have no timeout.
 
     Jobs and results cross the pipes via [Marshal], which is safe
     because workers are forks of the supervisor (same code image) —
@@ -43,26 +38,20 @@
     {b Persistent pools}: {!create} returns a handle whose workers
     survive across {!run} calls — each worker is forked once (lazily,
     at its first batch) and then blocks between batches waiting for
-    the next job frame.  A server or campaign issuing many batches
-    pays the fork cost once per worker instead of once per batch.
-    {!map} is the one-shot composition [create → run → close]. *)
+    the next job frame.  A server issuing many batches pays the fork
+    cost once per worker instead of once per batch.  {!map} is the
+    one-shot composition [create → run → close]. *)
 
 (** {1 Outcomes} *)
 
 type error =
   | Crashed of string  (** worker died mid-job (description of how) *)
-  | Timed_out of float  (** seconds the job had run when killed *)
   | Exception of string  (** [f] raised (deterministic; not retried) *)
   | Cancelled  (** never dispatched: SIGINT drain *)
 
 val error_to_string : error -> string
 
-type 'r outcome =
-  | Done of 'r
-  | Failed of error
-  | Split of 'r outcome * 'r outcome
-      (** the job timed out and was bisected: outcomes of the two
-          halves, in input order (only with [map]'s [bisect]) *)
+type 'r outcome = Done of 'r | Failed of error
 
 type stats = {
   st_jobs : int;  (** input size *)
@@ -70,10 +59,8 @@ type stats = {
   st_dispatched : int;  (** dispatches, including retries *)
   st_completed : int;  (** jobs that returned a result *)
   st_retried : int;
-  st_timed_out : int;
   st_crashes : int;
   st_cancelled : int;
-  st_bisected : int;  (** timed-out jobs split into two halves *)
   st_spawned : int;  (** workers forked during this batch (0 when the
                          pool's persistent workers were all alive) *)
   st_wall_s : float;
@@ -100,10 +87,6 @@ type ('a, 'r) t
 
 val create :
   ?jobs:int ->
-  ?job_timeout:float ->
-  ?kill_grace:float ->
-  ?max_retries:int ->
-  ?retry_backoff:float ->
   ?telemetry:Ise_telemetry.Sink.t ->
   ?journal_dir:string ->
   ('a -> 'r) ->
@@ -114,19 +97,15 @@ val create :
     the job values. *)
 
 val run :
-  ?telemetry:Ise_telemetry.Sink.t ->
   ?on_result:(int -> 'r outcome -> unit) ->
-  ?bisect:('a -> ('a * 'a) option) ->
   ('a, 'r) t ->
   'a array ->
   'r outcome array * stats
 (** Run one batch on the pool, reusing live workers and (re)forking
     only dead or not-yet-started ones ([stats.st_spawned] counts the
     forks this batch caused).  Semantics are exactly {!map}'s: results
-    in input order, in-order [on_result] streaming, timeouts, retries,
-    bisection, SIGINT drain.  [telemetry] overrides the pool's sink
-    for this batch only — a calibration pilot can measure into a
-    private registry.  A batch smaller than the pool uses only
+    in input order, in-order [on_result] streaming, retries, SIGINT
+    drain.  A batch smaller than the pool uses only
     the first [length items] workers; extra live workers stay parked.
     After a SIGINT drain the workers are shut down (the caller is
     abandoning the pool).  Raises [Invalid_argument] on a closed
@@ -145,10 +124,6 @@ val close : ('a, 'r) t -> unit
 
 val with_pool :
   ?jobs:int ->
-  ?job_timeout:float ->
-  ?kill_grace:float ->
-  ?max_retries:int ->
-  ?retry_backoff:float ->
   ?telemetry:Ise_telemetry.Sink.t ->
   ?journal_dir:string ->
   ('a -> 'r) ->
@@ -165,31 +140,17 @@ val alive_workers : ('a, 'r) t -> int
 
 val map :
   ?jobs:int ->
-  ?job_timeout:float ->
-  ?kill_grace:float ->
-  ?max_retries:int ->
-  ?retry_backoff:float ->
   ?telemetry:Ise_telemetry.Sink.t ->
   ?on_result:(int -> 'r outcome -> unit) ->
-  ?bisect:('a -> ('a * 'a) option) ->
   ?journal_dir:string ->
   ('a -> 'r) ->
   'a array ->
   'r outcome array * stats
 (** [jobs] defaults to {!default_jobs}[ ()] (capped at the number of
-    items); [job_timeout] in seconds, default none — the in-process
-    path never enforces timeouts; [kill_grace] (default 0.5 s) is the
-    SIGTERM→SIGKILL escalation delay; [max_retries] (default 2) bounds
-    re-dispatches after crashes/timeouts, with delays of
-    [retry_backoff] (default 0.05 s) doubling per attempt.
-
-    [bisect item] returns the two halves of a splittable item ([None]
-    for atoms).  It is consulted only when a job {e times out}; crash
-    retries are unchanged.  Halves are never re-split, so one timeout
-    costs at most two extra dispatches.
+    items).
 
     With [telemetry], maintains [pool/*] counters (jobs, dispatched,
-    completed, retried, timed_out, crashes, workers_spawned), a
+    completed, retried, crashes, workers_spawned), a
     per-worker [pool/worker<k>/job_ms] latency histogram, and one
     [pool]-category trace span per dispatch (tid = worker slot,
     timestamps in µs since the call), visible in Perfetto.

@@ -162,8 +162,7 @@ let handle_litmus t tests params =
                     (Ise_pool.Pool.error_to_string err);
                 lp_pass = false;
               },
-              false )
-          | Ise_pool.Pool.Split _ -> assert false (* no bisect here *))
+              false ))
         misses (Array.to_list outcomes)
     end
     else List.map (fun m -> (run m, true)) misses

@@ -437,7 +437,7 @@ let test_pool_crash_journal () =
       i * 2
     in
     let outcomes, _ =
-      Ise_pool.Pool.map ~jobs:2 ~max_retries:0 ~journal_dir:dir job
+      Ise_pool.Pool.map ~jobs:2 ~journal_dir:dir job
         [| 0; 1; 2 |]
     in
     (match outcomes.(1) with
@@ -468,7 +468,6 @@ let test_pool_crash_journal () =
        Alcotest.failf "expected a crash, got %s"
          (match o with
           | Ise_pool.Pool.Done _ -> "Done"
-          | Ise_pool.Pool.Split _ -> "Split"
           | Ise_pool.Pool.Failed e -> Ise_pool.Pool.error_to_string e));
     (* healthy results are unaffected *)
     Alcotest.(check bool) "other jobs fine" true
@@ -481,37 +480,6 @@ let test_pool_crash_journal () =
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) left;
     Unix.rmdir dir
   end
-
-(* ------------------------------------------------------------------ *)
-(* adaptive shard sizing stays deterministic                           *)
-
-let campaign_fingerprint (r : Ise_fuzz.Campaign.report) =
-  ( r.Ise_fuzz.Campaign.r_tests,
-    r.Ise_fuzz.Campaign.r_checks,
-    r.Ise_fuzz.Campaign.r_lost_tests,
-    List.map
-      (fun f ->
-        ( f.Ise_fuzz.Campaign.f_test.Ise_litmus.Lit_test.name,
-          Ise_fuzz.Campaign.variant_name f.Ise_fuzz.Campaign.f_variant,
-          Ise_fuzz.Campaign.kind_name f.Ise_fuzz.Campaign.f_kind,
-          f.Ise_fuzz.Campaign.f_detail ))
-      r.Ise_fuzz.Campaign.r_failures )
-
-let test_auto_shard_sizing_deterministic () =
-  if not Ise_pool.Pool.fork_available then ()
-  else begin
-    let run sizing =
-      Ise_fuzz.Campaign.run ~count:12 ~seeds_per_test:4 ~jobs:2
-        ~shard_sizing:sizing ~seed:11 ()
-    in
-    let formula = campaign_fingerprint (run `Formula) in
-    let auto = campaign_fingerprint (run `Auto) in
-    let fixed = campaign_fingerprint (run (`Fixed 5)) in
-    Alcotest.(check bool) "auto == formula" true (auto = formula);
-    Alcotest.(check bool) "fixed == formula" true (fixed = formula)
-  end
-
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* trace stitching                                                     *)
@@ -749,8 +717,8 @@ let suite =
     Alcotest.test_case "flatten_json paths" `Quick test_flatten_json;
     Alcotest.test_case "pool crash leaves a decodable journal" `Quick
       test_pool_crash_journal;
-    Alcotest.test_case "auto shard sizing is schedule-deterministic" `Quick
-      test_auto_shard_sizing_deterministic;
+    Alcotest.test_case "crash journals are bounded" `Quick
+      test_crash_dump_bounded;
     Alcotest.test_case "stitch: clock-skew normalization" `Quick
       test_stitch_skew_normalization;
     Alcotest.test_case "stitch: deterministic output" `Quick
@@ -758,6 +726,4 @@ let suite =
     Alcotest.test_case "stitch: orphan spans tagged" `Quick
       test_stitch_orphans;
     Alcotest.test_case "stitch: v1 files merge untouched" `Quick
-      test_stitch_mixed_versions;
-    Alcotest.test_case "crash journals are bounded" `Quick
-      test_crash_dump_bounded ]
+      test_stitch_mixed_versions ]

@@ -1,6 +1,6 @@
 (* Tests for Ise_pool: the framing codec (round-trip, streaming decode,
    corruption detection) and the fork-based supervisor (ordering,
-   failure isolation, crash retry, timeout kill, SIGINT drain, and the
+   failure isolation, crash retry, SIGINT drain and abandon, and the
    headline property: a fixed-seed campaign is byte-identical at -j 4
    and -j 1).  Fork-dependent cases are skipped on platforms without
    [Unix.fork]. *)
@@ -125,11 +125,9 @@ let test_codec_fd_truncated () =
 
 let requires_fork () = Pool.fork_available
 
-let rec render_outcome = function
+let render_outcome = function
   | Pool.Done r -> Printf.sprintf "done:%d" r
   | Pool.Failed e -> "failed:" ^ Pool.error_to_string e
-  | Pool.Split (l, r) ->
-    Printf.sprintf "split:(%s|%s)" (render_outcome l) (render_outcome r)
 
 let test_pool_inline_matches_forked () =
   (* same inputs, same outcome array, whether forked or in-process;
@@ -187,9 +185,7 @@ let test_pool_crash_retry () =
       end;
       i + 100
     in
-    let outs, stats =
-      Pool.map ~jobs:2 ~max_retries:2 ~retry_backoff:0.01 f [| 0; 1 |]
-    in
+    let outs, stats = Pool.map ~jobs:2 f [| 0; 1 |] in
     checkb "crashed job retried to success" true (outs.(0) = Pool.Done 100);
     checkb "sibling job unaffected" true (outs.(1) = Pool.Done 101);
     checkb "crash counted" true (stats.Pool.st_crashes >= 1);
@@ -200,69 +196,64 @@ let test_pool_crash_exhausts_retries () =
   if not (requires_fork ()) then ()
   else begin
     (* a job that always kills its worker is isolated as Failed
-       (Crashed _) once retries run out; the rest of the batch is fine *)
+       (Crashed _) once its two retries run out; the rest of the batch
+       is fine *)
     let f i =
       if i = 0 then Unix.kill (Unix.getpid ()) Sys.sigkill;
       i
     in
-    let outs, stats =
-      Pool.map ~jobs:2 ~max_retries:1 ~retry_backoff:0.01 f [| 0; 1 |]
-    in
+    let outs, stats = Pool.map ~jobs:2 f [| 0; 1 |] in
     (match outs.(0) with
     | Pool.Failed (Pool.Crashed _) -> ()
     | o -> Alcotest.failf "expected Crashed, got %s" (render_outcome o));
     checkb "other job done" true (outs.(1) = Pool.Done 1);
-    checki "retries bounded" 1 stats.Pool.st_retried
+    checki "retries bounded" 2 stats.Pool.st_retried;
+    checki "every attempt crashed" 3 stats.Pool.st_crashes
   end
 
-let test_pool_timeout_kill () =
+let test_pool_second_sigint_abandons () =
   if not (requires_fork ()) then ()
   else begin
+    (* job 0 interrupts the supervisor twice and then wedges: the first
+       SIGINT drains, the second kills the in-flight workers, so the
+       wedged job comes back Crashed instead of being waited out.  The
+       pause between the two signals lets the supervisor count each:
+       two SIGINTs pending at once are delivered as one. *)
     let t0 = Unix.gettimeofday () in
-    let f i = if i = 0 then Unix.sleepf 30. ; i in
-    let outs, stats =
-      Pool.map ~jobs:2 ~job_timeout:0.3 ~kill_grace:0.2 ~max_retries:0 f
-        [| 0; 1 |]
+    let f i =
+      if i = 0 then begin
+        Unix.kill (Unix.getppid ()) Sys.sigint;
+        Unix.sleepf 0.2;
+        Unix.kill (Unix.getppid ()) Sys.sigint
+      end;
+      Unix.sleepf 30.;
+      i
     in
+    let outs, stats = Pool.map ~jobs:2 f [| 0; 1; 2; 3; 4 |] in
     (match outs.(0) with
-    | Pool.Failed (Pool.Timed_out s) -> checkb "ran ~timeout" true (s >= 0.25)
-    | o -> Alcotest.failf "expected Timed_out, got %s" (render_outcome o));
-    checkb "fast job unaffected" true (outs.(1) = Pool.Done 1);
-    checki "timeout counted" 1 stats.Pool.st_timed_out;
-    (* the 30 s sleeper was actually killed, not waited out *)
-    checkb "killed promptly" true (Unix.gettimeofday () -. t0 < 10.)
+    | Pool.Failed (Pool.Crashed _) -> ()
+    | o -> Alcotest.failf "expected Crashed, got %s" (render_outcome o));
+    for i = 2 to 4 do
+      checkb "queued job cancelled" true (outs.(i) = Pool.Failed Pool.Cancelled)
+    done;
+    checki "nothing retried" 0 stats.Pool.st_retried;
+    checkb "returned promptly" true (Unix.gettimeofday () -. t0 < 10.)
   end
 
-let test_pool_timeout_bisect () =
+let test_pool_exception_not_retried () =
   if not (requires_fork ()) then ()
   else begin
-    (* batch 0 contains one wedged item: the timed-out batch is split
-       once, the clean half completes, the wedged half times out for
-       good (halves are never re-split) *)
-    let f batch =
-      List.iter (fun i -> if i = 13 then Unix.sleepf 30.) batch;
-      List.fold_left ( + ) 0 batch
-    in
-    let bisect = function
-      | ([] | [ _ ]) -> None
-      | batch ->
-        let mid = List.length batch / 2 in
-        Some (List.filteri (fun i _ -> i < mid) batch,
-              List.filteri (fun i _ -> i >= mid) batch)
-    in
-    let outs, stats =
-      Pool.map ~jobs:2 ~job_timeout:0.4 ~kill_grace:0.1 ~max_retries:0 ~bisect
-        f
-        [| [ 1; 2; 13; 4 ]; [ 5; 6 ] |]
-    in
+    (* on the forked path an exception in f is a deterministic result:
+       it is reported, never retried, and its worker lives on *)
+    let f i = if i = 0 then failwith "det boom" else i in
+    let outs, stats = Pool.map ~jobs:2 f [| 0; 1; 2 |] in
     (match outs.(0) with
-    | Pool.Split (Pool.Done 3, Pool.Failed (Pool.Timed_out _)) -> ()
-    | o -> Alcotest.failf "expected Split(done 3, timeout), got %s"
-             (render_outcome o));
-    checkb "clean batch unaffected" true (outs.(1) = Pool.Done 11);
-    checki "one bisection" 1 stats.Pool.st_bisected;
-    (* whole batch + wedged half both timed out *)
-    checki "timeouts counted" 2 stats.Pool.st_timed_out
+    | Pool.Failed (Pool.Exception _) -> ()
+    | o -> Alcotest.failf "expected Exception, got %s" (render_outcome o));
+    checkb "other jobs done" true
+      (outs.(1) = Pool.Done 1 && outs.(2) = Pool.Done 2);
+    checki "not retried" 0 stats.Pool.st_retried;
+    checki "no crash" 0 stats.Pool.st_crashes
   end
 
 let test_pool_sigint_drain () =
@@ -278,7 +269,7 @@ let test_pool_sigint_drain () =
       else Unix.sleepf 0.4;
       i
     in
-    let outs, stats = Pool.map ~jobs:2 ~max_retries:0 f [| 0; 1; 2; 3; 4 |] in
+    let outs, stats = Pool.map ~jobs:2 f [| 0; 1; 2; 3; 4 |] in
     checkb "in-flight job finished" true (outs.(0) = Pool.Done 0);
     checkb "queued jobs cancelled" true (stats.Pool.st_cancelled >= 1);
     checkb "tail job cancelled" true (outs.(4) = Pool.Failed Pool.Cancelled)
@@ -388,10 +379,10 @@ let test_pool_persistent_streams_in_order () =
 let test_pool_persistent_survives_crash () =
   if not (requires_fork ()) then ()
   else begin
-    (* a worker dying mid-stream fails its job (retries off) but the
-       handle keeps working: the next batch transparently respawns *)
+    (* a worker dying on every attempt fails its job but the handle
+       keeps working: the next batch transparently respawns *)
     let f i = if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill; i in
-    let p = Pool.create ~jobs:2 ~max_retries:0 f in
+    let p = Pool.create ~jobs:2 f in
     Fun.protect ~finally:(fun () -> Pool.close p) @@ fun () ->
     let outs, stats = Pool.run p [| 0; 1; 2; 3 |] in
     checkb "crash recorded" true (stats.Pool.st_crashes >= 1);
@@ -442,9 +433,10 @@ let suite =
     Alcotest.test_case "pool: crash retried" `Quick test_pool_crash_retry;
     Alcotest.test_case "pool: crash isolated after retries" `Quick
       test_pool_crash_exhausts_retries;
-    Alcotest.test_case "pool: timeout killed" `Quick test_pool_timeout_kill;
-    Alcotest.test_case "pool: timeout bisected" `Quick
-      test_pool_timeout_bisect;
+    Alcotest.test_case "pool: second SIGINT abandons in-flight jobs" `Quick
+      test_pool_second_sigint_abandons;
+    Alcotest.test_case "pool: an exception is a result, never retried" `Quick
+      test_pool_exception_not_retried;
     Alcotest.test_case "pool: SIGINT drains" `Quick test_pool_sigint_drain;
     Alcotest.test_case "pool: persistent workers reused" `Quick
       test_pool_persistent_reuse;
